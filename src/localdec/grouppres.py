@@ -10,7 +10,6 @@ group).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -260,15 +259,6 @@ class CosetTable:
     def __repr__(self):
         state = "complete" if self.complete else "partial"
         return "CosetTable(%s, %d cosets)" % (state, len(self.table))
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    table: CosetTable
-
-    @property
-    def complete(self) -> bool:
-        return self.table.complete
 
 
 def _letters_to_cols(word: FreeWord) -> tuple:

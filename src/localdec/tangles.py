@@ -9,6 +9,14 @@ backtracking search keeps an antichain of maximal small sides instead of
 the full choice list.  Covering pairs also witness every inconsistency,
 hence no separate consistency check is needed during the search (it is
 asserted afterwards).
+
+Two facts let the search skip work without changing its results.  Whether
+a small side plus two forced sides G[X], |X| < k, cover the graph depends
+only on the side and on k, never on the earlier choices, so that test runs
+at most once per side and order.  And every edge of a separation lies
+inside one of its sides, so when a side is contained in a chosen maximal
+small side, its other side together with that member covers the graph:
+the orientation is forced, and the other side is never tried.
 """
 
 from __future__ import annotations
@@ -57,12 +65,6 @@ class Separation:
         return [[str(v) for v in a], [str(v) for v in b]]
 
 
-def _normalize(am: int, bm: int, full: int) -> Separation:
-    if bm < am:
-        am, bm = bm, am
-    return Separation(am, bm, full)
-
-
 def oriented_le(first1: int, second1: int, first2: int, second2: int) -> bool:
     """(A,B) <= (C,D) iff A is contained in C and B contains D."""
     return (first1 | first2) == first2 and (second1 | second2) == second1
@@ -104,6 +106,78 @@ def _components_masks(adj, pool: int):
     return comps
 
 
+def _incident_edges(inc_e, mask: int) -> int:
+    """Mask of the edges with an end in the vertex mask `mask`."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= inc_e[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
+def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
+                  budget: int):
+    """Every separation of order < max_order (the improper ones only if
+    requested) as the pair of its sides ((a, ea), (b, eb)) with a <= b,
+    sorted by (order, a, b), and the order boundaries: ends[o]
+    separations have order < o.
+
+    A separation with separator X is a choice of a bipartition of the
+    components of G - X.  The edges inside side A are all edges except
+    those at the components that lie on the B side, so one incident-edge
+    mask per component gives the edge masks of every bipartition.  The
+    edge mask of a side is fixed by its vertex mask, so sorting the pairs
+    of one order sorts them by (a, b).
+    """
+    bits = g.bits()
+    vall, eall, adj, inc_e = bits.vall, bits.eall, bits.adj, bits.inc_e
+    n = len(g.vertices)
+    top = min(max_order, n + 1)
+    total = sum(comb(n, size) for size in range(0, top))
+    if total > budget:
+        raise BudgetError(
+            "enumerating %d separator candidates exceeds the budget of %d; "
+            "lower the order or raise the budget" % (total, budget))
+    out = []
+    ends = [0]
+    for size in range(0, top):
+        bucket = []
+        for combo in combinations(range(n), size):
+            x = 0
+            for i in combo:
+                x |= 1 << i
+            comps = _components_masks(adj, vall & ~x)
+            if len(comps) >= 2:
+                incs = [_incident_edges(inc_e, c) for c in comps]
+                for pick in range(1 << (len(comps) - 1)):
+                    a, ia = comps[0] | x, incs[0]
+                    b, ib = x, 0
+                    for j in range(1, len(comps)):
+                        if pick >> (j - 1) & 1:
+                            a |= comps[j]
+                            ia |= incs[j]
+                        else:
+                            b |= comps[j]
+                            ib |= incs[j]
+                    if b == x and not include_improper:
+                        continue
+                    sa, sb = (a, eall & ~ib), (b, eall & ~ia)
+                    bucket.append((sa, sb) if a <= b else (sb, sa))
+            elif include_improper:
+                sx = (x, eall & ~_incident_edges(inc_e, vall & ~x))
+                bucket.append((sx, (vall, eall)))
+        bucket.sort()
+        # copy the shorter list into the longer one, to keep the peak low
+        if len(bucket) > len(out):
+            bucket[:0] = out
+            out = bucket
+        else:
+            out += bucket
+        ends.append(len(out))
+    return out, ends
+
+
 def enumerate_separations(g: Multigraph, max_order: int,
                           include_improper: bool = False,
                           budget: int = 5_000_000):
@@ -114,37 +188,9 @@ def enumerate_separations(g: Multigraph, max_order: int,
     unless requested.  Sorted by (order, side masks), so the list for a
     smaller max_order is a prefix of the list for a larger one.
     """
-    bits = g.bits()
-    n = len(g.vertices)
-    out = []
-    total = sum(comb(n, size) for size in range(0, min(max_order, n + 1)))
-    if total > budget:
-        raise BudgetError(
-            "enumerating %d separator candidates exceeds the budget of %d; "
-            "lower the order or raise the budget" % (total, budget))
-    for size in range(0, min(max_order, n + 1)):
-        for combo in combinations(range(n), size):
-            x = 0
-            for i in combo:
-                x |= 1 << i
-            comps = _components_masks(bits.adj, bits.vall & ~x)
-            if len(comps) >= 2:
-                rest = comps[1:]
-                for pick in range(1 << len(rest)):
-                    a = comps[0] | x
-                    b = x
-                    for j, c in enumerate(rest):
-                        if pick >> j & 1:
-                            a |= c
-                        else:
-                            b |= c
-                    if b == x and not include_improper:
-                        continue
-                    out.append(_normalize(a, b, bits.vall))
-            elif include_improper:
-                out.append(_normalize(bits.vall, x, bits.vall))
-    out.sort(key=lambda s: (s.order, s.a_mask, s.b_mask))
-    return out
+    full = g.bits().vall
+    sides, _ = _sorted_sides(g, max_order, include_improper, budget)
+    return [Separation(a, b, full) for (a, _), (b, _) in sides]
 
 
 def is_tight(g: Multigraph, s: Separation) -> bool:
@@ -179,30 +225,18 @@ def is_tight(g: Multigraph, s: Separation) -> bool:
 class SeparationUniverse:
     """All proper separations of order < max_order with precomputed side data."""
 
-    __slots__ = ("graph", "max_order", "seps", "side_data", "_prefix")
+    __slots__ = ("graph", "max_order", "seps", "side_data", "_ends")
 
     def __init__(self, g: Multigraph, max_order: int, budget: int = 5_000_000):
         self.graph = g
         self.max_order = max_order
-        self.seps = enumerate_separations(g, max_order, budget=budget)
-        self.side_data = []
-        for s in self.seps:
-            ea = g.edge_mask_within(s.a_mask)
-            eb = g.edge_mask_within(s.b_mask)
-            self.side_data.append(((s.a_mask, ea), (s.b_mask, eb)))
-        self._prefix = {}
+        self.side_data, self._ends = _sorted_sides(g, max_order, False, budget)
+        full = g.bits().vall
+        self.seps = [Separation(a, b, full) for (a, _), (b, _) in self.side_data]
 
     def prefix_len(self, k: int) -> int:
         """Number of separations of order < k (a prefix of the sorted list)."""
-        if k not in self._prefix:
-            lo = 0
-            for i, s in enumerate(self.seps):
-                if s.order < k:
-                    lo = i + 1
-                else:
-                    break
-            self._prefix[k] = lo
-        return self._prefix[k]
+        return self._ends[min(max(k, 0), len(self._ends) - 1)]
 
     def index_of(self, s: Separation) -> int:
         return self.seps.index(s)
@@ -368,14 +402,24 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int, count: int):
     ant = []          # maximal small sides chosen so far: list of (v, e)
     frames = [None] * count
     sides = [0] * (count + 1)
+    # per side: 0 unknown, 1 when it plus two forced sides covers the graph,
+    # 2 when it does not
+    fits2 = bytearray(2 * count)
 
     def try_side(i: int, side: int):
         v, e = side_data[i][side]
+        ov, oe = side_data[i][1 - side]
         for av, ae in ant:
             if (v | av) == av and (e | ae) == ae:
                 return ("dominated",)
+            if (ov | av) == av and (oe | ae) == ae:
+                # this side plus that member covers the graph
+                return None
         # one chosen small side plus two forced ones
-        if _residual_fits_sets(bits, eends, cap, v, e, 2):
+        slot = 2 * i + side
+        if not fits2[slot]:
+            fits2[slot] = 1 if _residual_fits_sets(bits, eends, cap, v, e, 2) else 2
+        if fits2[slot] == 1:
             return None
         opts = ant + [(v, e)]
         for j, (vj, ej) in enumerate(opts):
@@ -420,6 +464,9 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int, count: int):
         frame = try_side(depth, s)
         if frame is None:
             continue
+        if frame[0] == "dominated":
+            # its other side plus the dominating member covers the graph
+            sides[depth] = 2
         choices[depth] = s
         frames[depth] = frame
         sides[depth + 1] = 0

@@ -223,6 +223,31 @@ def test_improper_separations_on_flag():
     assert len(improper) == 4  # empty set and each single vertex against V
 
 
+def test_universe_side_data_matches_direct_computation():
+    rng = random.Random(69)
+    for _ in range(15):
+        g = random_connected_graph(rng, rng.randrange(2, 8), rng.randrange(0, 6))
+        full = g.bits().vall
+        for k in range(1, 5):
+            uni = SeparationUniverse(g, k)
+            assert uni.seps == enumerate_separations(g, k)
+            for s, ((a, ea), (b, eb)) in zip(uni.seps, uni.side_data):
+                assert (a, b) == (s.a_mask, s.b_mask)
+                assert ea == g.edge_mask_within(a)
+                assert eb == g.edge_mask_within(b)
+            for j in range(-1, k + 2):
+                assert uni.prefix_len(j) == sum(1 for s in uni.seps if s.order < j)
+            every = enumerate_separations(g, k, include_improper=True)
+            keys = [(s.order, s.a_mask, s.b_mask) for s in every]
+            assert keys == sorted(set(keys))
+            assert [s for s in every if s.proper] == uni.seps
+            improper = [s.a_mask for s in every if not s.proper]
+            assert all(s.b_mask == full for s in every if not s.proper)
+            assert improper == sorted(
+                (x for x in range(full + 1) if x.bit_count() < k),
+                key=lambda x: (x.bit_count(), x))
+
+
 # ---------------------------------------------------------------------------
 # tightness
 # ---------------------------------------------------------------------------
@@ -311,6 +336,38 @@ def test_tangles_match_oracle_on_random_graphs():
         assert ours == set(tangle_oracle(uni, k))
         if uni.prefix_len(k) <= 10:
             assert ours == set(tangle_oracle_literal(uni, k))
+
+
+def test_tangle_order_matches_oracle():
+    # the JSON lists tangles in search order, so the order must match too
+    rng = random.Random(63)
+    cases = []
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(0, 6))
+        cases.append((g, rng.randrange(1, 5)))
+    cases.extend((two_k5s(), k) for k in (2, 3, 4))
+    for g, k in cases:
+        uni = SeparationUniverse(g, k)
+        assert [t.choices for t in enumerate_tangles(uni, k)] == tangle_oracle(uni, k)
+
+
+def test_each_side_tested_once_against_two_forced_sides(monkeypatch):
+    import localdec.tangles as tangles_mod
+    calls = []
+    original = tangles_mod._residual_fits_sets
+
+    def counting(bits, eends, cap, vu, eu, parts):
+        calls.append(parts)
+        return original(bits, eends, cap, vu, eu, parts)
+
+    monkeypatch.setattr(tangles_mod, "_residual_fits_sets", counting)
+    rng = random.Random(70)
+    for g in [glued_cliques(3)] + [random_connected_graph(rng, 8, 6) for _ in range(5)]:
+        uni = SeparationUniverse(g, 4)
+        for k in (2, 3, 4):
+            calls.clear()
+            enumerate_tangles(uni, k)
+            assert calls.count(2) <= 2 * uni.prefix_len(k)
 
 
 def test_tangle_restriction_is_a_tangle():
