@@ -56,7 +56,6 @@ class RunConfig:
     out: str = ""
     dot: str = ""
     labelled: bool = False
-    verbose: bool = False
 
     COMMANDS = ("cover", "deck-group", "tangles", "tree", "decompose",
                 "verify", "gamma-r")
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dot", default="", help="write a DOT rendering here")
     parser.add_argument("--labelled", action="store_true",
                         help="input edges carry Cayley generator labels")
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -402,7 +400,6 @@ def main(argv=None) -> int:
         out=args.out,
         dot=args.dot,
         labelled=args.labelled,
-        verbose=args.verbose,
     )
     try:
         cfg.validate()

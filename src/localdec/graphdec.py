@@ -19,6 +19,7 @@ from typing import Optional
 from localdec.localcover import (
     Covering,
     TruncatedCover,
+    _transport,
     cayley_graph,
     local_cover,
     shrink_truncated,
@@ -126,7 +127,8 @@ class DecompositionReport:
 def verify_graph_decomposition(g: Multigraph, d: GraphDecomposition) -> DecompositionReport:
     """Evaluate the decomposition axioms, honesty and point-finiteness.
 
-    Never raises; failures are recorded in the report.
+    Raises DecompositionError when d decomposes a graph other than g;
+    otherwise failures are recorded in the report.
     """
     if d.base != g:
         raise DecompositionError("decomposition does not decompose this graph")
@@ -237,12 +239,72 @@ def induce_separation_from_model(d: GraphDecomposition, u_nodes, w_nodes) -> Sep
 # quotients of tree-decompositions of covers
 # ---------------------------------------------------------------------------
 
-def _project_part(cov: Covering, vertices) -> Multigraph:
+class _UnionFind:
+    """Classes of 0..n-1; the root of a class is its least member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def classes(self) -> dict:
+        """Root -> members, both in increasing order."""
+        out = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return out
+
+
+def _project_part(cov, graph: Multigraph, vertices) -> Multigraph:
+    """The base subgraph onto which the subgraph of `graph` (the cover or
+    the ball of cov) induced by `vertices` projects."""
     vset = set(vertices)
-    sub = cov.cover.induced(vset)
+    sub = graph.induced(vset)
     base_vs = {cov.projection_vertices[v] for v in vset}
     base_es = {cov.projection_edges[e] for e in sub.edges}
     return cov.base.subgraph(base_vs, base_es)
+
+
+def _orbit_quotient(cov, graph: Multigraph, td: TreeDecomposition, nodes,
+                    node_orbits: _UnionFind, edges, edge_orbits: _UnionFind):
+    """The decomposition of cov.base whose model is the graph of the orbits
+    of the tree nodes `nodes` and tree edges `edges`, with the adhesion
+    size of each model edge.
+
+    Orbits are named h<i> and f<i> in order of their least member; the
+    part of a node orbit is the projection of any member, and all members
+    must project to the same part.
+    """
+    name = {}
+    parts = {}
+    for root, members in node_orbits.classes().items():
+        name[root] = "h%d" % len(name)
+        part = _project_part(cov, graph, td.parts[nodes[root]])
+        for i in members[1:]:
+            if _project_part(cov, graph, td.parts[nodes[i]]) != part:
+                raise PipelineError("projected parts differ along an orbit")
+        parts[name[root]] = part
+    index = {t: i for i, t in enumerate(nodes)}
+    model_edges = []
+    edge_labels = {}
+    for root in edge_orbits.classes():
+        a, b = td.tree.ends[edges[root]]
+        f = "f%d" % len(model_edges)
+        model_edges.append((f, (name[node_orbits.find(index[a])],
+                                name[node_orbits.find(index[b])])))
+        edge_labels[f] = len(td.adhesion(edges[root]))
+    model = Multigraph(list(name.values()), model_edges)
+    return GraphDecomposition(cov.base, model, parts), edge_labels
 
 
 def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecomposition:
@@ -259,34 +321,10 @@ def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecompo
         raise DecompositionError("tree-decomposition does not decompose the cover")
     nodes = list(td.tree.vertices)
     node_index = {t: i for i, t in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    edge_ids = list(td.tree.edges)
-    eparent = list(range(len(edge_ids)))
-    eindex = {e: i for i, e in enumerate(edge_ids)}
-
-    def efind(i):
-        while eparent[i] != i:
-            eparent[i] = eparent[eparent[i]]
-            i = eparent[i]
-        return i
-
-    def eunion(i, j):
-        ri, rj = efind(i), efind(j)
-        if ri != rj:
-            eparent[max(ri, rj)] = min(ri, rj)
-
+    node_orbits = _UnionFind(len(nodes))
+    edges = list(td.tree.edges)
+    edge_index = {e: i for i, e in enumerate(edges)}
+    edge_orbits = _UnionFind(len(edges))
     for h in range(cov.deck.order):
         iso = Isomorphism(cov.deck_vertex_map(h), cov.deck_edge_map(h))
         mapping = node_map_under(td, iso)
@@ -294,44 +332,13 @@ def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecompo
             raise DecompositionError(
                 "deck transformation does not stabilize the tree-decomposition")
         for t, t2 in mapping.items():
-            union(node_index[t], node_index[t2])
-            if _project_part(cov, td.parts[t]) != _project_part(cov, td.parts[t2]):
-                raise DecompositionError("projected parts differ along a deck orbit")
-        for e in edge_ids:
+            node_orbits.union(node_index[t], node_index[t2])
+        for e in edges:
             a, b = td.tree.ends[e]
-            ia, ib = mapping[a], mapping[b]
-            (e2,) = td.tree.edges_between(ia, ib)
-            eunion(eindex[e], eindex[e2])
-
-    orbit_of = {}
-    orbit_order = []
-    for i, t in enumerate(nodes):
-        r = find(i)
-        if r not in orbit_of:
-            orbit_of[r] = "h%d" % len(orbit_order)
-            orbit_order.append(r)
-        # map node -> orbit id later via find
-
-    model_vertices = [orbit_of[r] for r in orbit_order]
-    model_edges = []
-    edge_labels = {}
-    eorbit_seen = {}
-    for i, e in enumerate(edge_ids):
-        r = efind(i)
-        if r in eorbit_seen:
-            continue
-        eorbit_seen[r] = True
-        a, b = td.tree.ends[edge_ids[r]]
-        name = "f%d" % len(model_edges)
-        model_edges.append((name, (orbit_of[find(node_index[a])],
-                                   orbit_of[find(node_index[b])])))
-        edge_labels[name] = len(td.adhesion(edge_ids[r]))
-    model = Multigraph(model_vertices, model_edges)
-
-    parts = {}
-    for r in orbit_order:
-        parts[orbit_of[r]] = _project_part(cov, td.parts[nodes[r]])
-    dec = GraphDecomposition(cov.base, model, parts)
+            (e2,) = td.tree.edges_between(mapping[a], mapping[b])
+            edge_orbits.union(edge_index[e], edge_index[e2])
+    dec, edge_labels = _orbit_quotient(cov, cov.cover, td, nodes, node_orbits,
+                                       edges, edge_orbits)
     dec.edge_labels = edge_labels
 
     report = verify_graph_decomposition(cov.base, dec)
@@ -397,39 +404,40 @@ def cayley_model_decomposition(cov: Covering):
 # canonicity
 # ---------------------------------------------------------------------------
 
-def _model_map_for(d: GraphDecomposition, iso: Isomorphism) -> Optional[dict]:
-    """A model automorphism psi with iso(part(h)) = part(psi(h)), or None."""
-    image = {}
-    for h in d.model.vertices:
-        vs = frozenset(iso.vertex_map[v] for v in d.parts[h].vertices)
-        es = frozenset(iso.edge_map[e] for e in d.parts[h].edges)
-        image[h] = (vs, es)
+def _match_models(m1: Multigraph, content1: dict, m2: Multigraph,
+                  content2: dict) -> Optional[dict]:
+    """A bijection psi from the nodes of m1 onto those of m2 with
+    content2[psi(h)] == content1[h] that keeps the number of edges between
+    every two nodes, loops included; None when there is none."""
+    if m1.n_vertices() != m2.n_vertices() or m1.n_edges() != m2.n_edges():
+        return None
     by_content = {}
-    for h in d.model.vertices:
-        by_content.setdefault((d.part_vertex_set(h), d.part_edge_set(h)), []).append(h)
-
-    order = list(d.model.vertices)
+    for h in m2.vertices:
+        by_content.setdefault(content2[h], []).append(h)
+    order = m1.vertices
     assign = {}
     used = set()
 
-    def ok_adjacent(h, target):
-        for e, w in d.model.incident(h):
-            if w in assign:
-                want = len(d.model.edges_between(target, assign[w])) if w != h else \
-                    len(d.model.edges_between(target, target))
-                have = len(d.model.edges_between(h, w))
-                if want != have:
-                    return False
+    # the edge totals agree, so matching the count at every pair of m1
+    # nodes joined by an edge matches it at every pair
+    def fits(h, target) -> bool:
+        for _e, w in m1.incident(h):
+            if w == h:
+                image = target
+            elif w in assign:
+                image = assign[w]
+            else:
+                continue
+            if len(m1.edges_between(h, w)) != len(m2.edges_between(target, image)):
+                return False
         return True
 
     def backtrack(i):
         if i == len(order):
             return dict(assign)
         h = order[i]
-        for target in by_content.get(image[h], ()):
-            if target in used:
-                continue
-            if not ok_adjacent(h, target):
+        for target in by_content.get(content1[h], ()):
+            if target in used or not fits(h, target):
                 continue
             assign[h] = target
             used.add(target)
@@ -441,6 +449,18 @@ def _model_map_for(d: GraphDecomposition, iso: Isomorphism) -> Optional[dict]:
         return None
 
     return backtrack(0)
+
+
+def _part_contents(d: GraphDecomposition) -> dict:
+    return {h: (d.part_vertex_set(h), d.part_edge_set(h)) for h in d.model.vertices}
+
+
+def _model_map_for(d: GraphDecomposition, iso: Isomorphism) -> Optional[dict]:
+    """A model automorphism psi with iso(part(h)) = part(psi(h)), or None."""
+    image = {h: (frozenset(iso.vertex_map[v] for v in d.parts[h].vertices),
+                 frozenset(iso.edge_map[e] for e in d.parts[h].edges))
+             for h in d.model.vertices}
+    return _match_models(d.model, image, d.model, _part_contents(d))
 
 
 def verify_canonicity(g: Multigraph, d: GraphDecomposition, autos,
@@ -531,48 +551,8 @@ def decompositions_agree(d1: GraphDecomposition, d2: GraphDecomposition) -> bool
     """Same parts (as base subgraphs) arranged on isomorphic models."""
     if d1.base != d2.base:
         return False
-    if d1.model.n_vertices() != d2.model.n_vertices():
-        return False
-    if d1.model.n_edges() != d2.model.n_edges():
-        return False
-    content2 = {}
-    for h in d2.model.vertices:
-        content2.setdefault((d2.part_vertex_set(h), d2.part_edge_set(h)), []).append(h)
-
-    order = list(d1.model.vertices)
-    assign = {}
-    used = set()
-
-    def backtrack(i):
-        if i == len(order):
-            for e in d1.model.edges:
-                a, b = d1.model.ends[e]
-                if len(d1.model.edges_between(a, b)) != \
-                        len(d2.model.edges_between(assign[a], assign[b])):
-                    return False
-            return True
-        h = order[i]
-        key = (d1.part_vertex_set(h), d1.part_edge_set(h))
-        for target in content2.get(key, ()):
-            if target in used:
-                continue
-            ok = True
-            for e, w in d1.model.incident(h):
-                if w in assign and len(d1.model.edges_between(h, w)) != \
-                        len(d2.model.edges_between(target, assign[w])):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[h] = target
-            used.add(target)
-            if backtrack(i + 1):
-                return True
-            del assign[h]
-            used.discard(target)
-        return False
-
-    return backtrack(0)
+    return _match_models(d1.model, _part_contents(d1),
+                         d2.model, _part_contents(d2)) is not None
 
 
 def _finite_pipeline(cov: Covering, max_tangle_order: int,
@@ -589,49 +569,7 @@ def _finite_pipeline(cov: Covering, max_tangle_order: int,
     }
 
 
-def _partial_deck_map(tc: TruncatedCover, target) -> Optional[dict]:
-    """Transport the root to another lift of the base point; None on conflict.
-
-    The returned partial vertex map is label- and projection-compatible by
-    construction and is grown greedily along the ball.
-    """
-    if tc.projection_vertices[target] != tc.projection_vertices[tc.root]:
-        return None
-    pair = {tc.root: target}
-    used = {target}
-    queue = [tc.root]
-    while queue:
-        x = queue.pop()
-        y = pair[x]
-        inc_y = {}
-        for e, w in tc.ball.incident(y):
-            inc_y.setdefault(tc.projection_edges[e], []).append((e, w))
-        inc_x = {}
-        for e, w in tc.ball.incident(x):
-            inc_x.setdefault(tc.projection_edges[e], []).append((e, w))
-        for base_e, lx in inc_x.items():
-            ly = inc_y.get(base_e, [])
-            if len(lx) > len(ly):
-                # target sits closer to the rim; stop growing here
-                continue
-            lx = sorted(lx, key=lambda p: tc.ball.epos(p[0]))
-            ly = sorted(ly, key=lambda p: tc.ball.epos(p[0]))
-            for (e1, w1), (e2, w2) in zip(lx, ly):
-                if tc.projection_vertices[w1] != tc.projection_vertices[w2]:
-                    return None
-                if w1 in pair:
-                    if pair[w1] != w2:
-                        return None
-                elif w2 in used:
-                    return None
-                else:
-                    pair[w1] = w2
-                    used.add(w2)
-                    queue.append(w1)
-    return pair
-
-
-def _truncated_decomposition_once(g: Multigraph, r: int, cov: TruncatedCover,
+def _truncated_decomposition_once(r: int, cov: TruncatedCover,
                                   max_tangle_order: int, rim_filter: bool):
     if not cov.certified:
         raise PipelineError("truncated cover is uncertified",
@@ -656,34 +594,17 @@ def _truncated_decomposition_once(g: Multigraph, r: int, cov: TruncatedCover,
         raise PipelineError("no tree nodes lie inside the core")
     if not td.tree.induced(core_nodes).is_connected():
         raise PipelineError("core of the decomposition tree is disconnected")
-
-    base_x0 = cov.projection_vertices[cov.root]
-    maps = []
-    for target in cov.lifts_of(base_x0):
-        if target == cov.root:
-            continue
-        m = _partial_deck_map(cov, target)
-        if m:
-            maps.append(m)
-
     node_index = {t: i for i, t in enumerate(core_nodes)}
-    parent = list(range(len(core_nodes)))
+    node_orbits = _UnionFind(len(core_nodes))
+    core_edges = [e for e in td.tree.edges
+                  if td.tree.ends[e][0] in node_index
+                  and td.tree.ends[e][1] in node_index]
+    edge_index = {e: i for i, e in enumerate(core_edges)}
+    edge_orbits = _UnionFind(len(core_edges))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    part_sets = {t: frozenset(td.parts[t]) for t in td.tree.vertices}
     lookup = {}
     for t in core_nodes:
-        lookup.setdefault(part_sets[t], []).append(t)
+        lookup.setdefault(frozenset(td.parts[t]), []).append(t)
 
     def map_node(m, t):
         image = set()
@@ -697,88 +618,39 @@ def _truncated_decomposition_once(g: Multigraph, r: int, cov: TruncatedCover,
         # orbits silently; under-merging is caught by the witness checks
         return cands[0] if len(cands) == 1 else None
 
-    pairs_by_map = []
-    for m in maps:
+    # each partial deck map moves the root to another lift of its base
+    # vertex; the orbits are what these maps identify inside the core
+    for target in cov.lifts_of(cov.projection_vertices[cov.root]):
+        if target == cov.root:
+            continue
+        m = _transport(cov, cov.ball, cov, cov.ball, cov.root, target, partial=True)
+        if m is None:
+            continue
         pairs = {}
         for t in core_nodes:
             t2 = map_node(m, t)
             if t2 is not None:
                 pairs[t] = t2
-                union(node_index[t], node_index[t2])
-        pairs_by_map.append(pairs)
-
-    # project parts: the quotient part of an orbit is the projection of any
-    # representative; verify they agree along the orbit
-    def project(t) -> Multigraph:
-        vset = set(td.parts[t])
-        sub = cov.ball.induced(vset)
-        base_vs = {cov.projection_vertices[v] for v in vset}
-        base_es = {cov.projection_edges[e] for e in sub.edges}
-        return g.subgraph(base_vs, base_es)
-
-    orbit_rep = {}
-    for i, t in enumerate(core_nodes):
-        r_i = find(i)
-        orbit_rep.setdefault(r_i, []).append(t)
-    for members in orbit_rep.values():
-        proj0 = project(members[0])
-        for t in members[1:]:
-            if project(t) != proj0:
-                raise PipelineError("projected parts differ along a detected orbit")
-    if any(len(members) < 2 for members in orbit_rep.values()):
-        raise PipelineError("an orbit is witnessed only once inside the core",
-                            {"orbits": {str(k): len(v) for k, v in orbit_rep.items()}})
-
-    orbit_ids = {}
-    for n, r_i in enumerate(sorted(orbit_rep)):
-        orbit_ids[r_i] = "h%d" % n
-
-    core_edges = [e for e in td.tree.edges
-                  if td.tree.ends[e][0] in node_index
-                  and td.tree.ends[e][1] in node_index]
-    eindex = {e: i for i, e in enumerate(core_edges)}
-    eparent = list(range(len(core_edges)))
-
-    def efind(i):
-        while eparent[i] != i:
-            eparent[i] = eparent[eparent[i]]
-            i = eparent[i]
-        return i
-
-    def eunion(i, j):
-        ri, rj = efind(i), efind(j)
-        if ri != rj:
-            eparent[max(ri, rj)] = min(ri, rj)
-
-    for pairs in pairs_by_map:
+                node_orbits.union(node_index[t], node_index[t2])
         for e in core_edges:
             a, b = td.tree.ends[e]
             if a in pairs and b in pairs:
-                between = td.tree.edges_between(pairs[a], pairs[b])
-                for e2 in between:
-                    if e2 in eindex:
-                        eunion(eindex[e], eindex[e2])
+                for e2 in td.tree.edges_between(pairs[a], pairs[b]):
+                    if e2 in edge_index:
+                        edge_orbits.union(edge_index[e], edge_index[e2])
 
-    edge_labels = {}
-    model_edges = []
-    for i, e in enumerate(core_edges):
-        if efind(i) != i:
-            continue
-        a, b = td.tree.ends[e]
-        ra, rb = find(node_index[a]), find(node_index[b])
-        name = "f%d" % len(model_edges)
-        model_edges.append((name, (orbit_ids[ra], orbit_ids[rb])))
-        edge_labels[name] = len(td.adhesion(e))
-
-    model = Multigraph([orbit_ids[r_i] for r_i in sorted(orbit_rep)], model_edges)
-    parts = {orbit_ids[r_i]: project(orbit_rep[r_i][0]) for r_i in sorted(orbit_rep)}
-    dec = GraphDecomposition(g, model, parts)
+    dec, edge_labels = _orbit_quotient(cov, cov.ball, td, core_nodes, node_orbits,
+                                       core_edges, edge_orbits)
+    orbits = node_orbits.classes()
+    if any(len(members) < 2 for members in orbits.values()):
+        raise PipelineError("an orbit is witnessed only once inside the core",
+                            {"orbits": {str(k): len(v) for k, v in orbits.items()}})
     info = {
         "radius": cov.radius,
         "core_depth": core_depth,
         "nested_set_size": len(ns),
         "core_nodes": len(core_nodes),
-        "orbit_sizes": sorted(len(v) for v in orbit_rep.values()),
+        "orbit_sizes": sorted(len(v) for v in orbits.values()),
         "certificates": dict(cov.certificates),
     }
     return dec, edge_labels, info
@@ -817,10 +689,10 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
                 raise PipelineError("cover enumeration undecided and truncation "
                                     "uncertified", {"certificates": cov.certificates})
             dec, edge_labels, info = _truncated_decomposition_once(
-                g, r, cov, max_tangle_order, rim_filter)
+                r, cov, max_tangle_order, rim_filter)
             cov2 = shrink_truncated(cov, truncation_radius - 1)
             dec2, _labels2, info2 = _truncated_decomposition_once(
-                g, r, cov2, max_tangle_order, rim_filter)
+                r, cov2, max_tangle_order, rim_filter)
             if not decompositions_agree(dec, dec2):
                 raise PipelineError(
                     "truncated decompositions disagree at consecutive radii",

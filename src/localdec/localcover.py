@@ -347,49 +347,54 @@ def _build_ball(g: Multigraph, table: CosetTable, x0, radius: int, locality: int
     return tc
 
 
-def _rooted_transport_equal(tc1: "TruncatedCover", tc2: "TruncatedCover") -> bool:
-    """Do two rooted truncated balls agree via base-edge transport?"""
-    ball1, ball2 = tc1.ball, tc2.ball
-    if tc1.projection_vertices[tc1.root] != tc2.projection_vertices[tc2.root]:
-        return False
-    if ball1.n_vertices() != ball2.n_vertices() or ball1.n_edges() != ball2.n_edges():
-        return False
-    pair = {tc1.root: tc2.root}
-    queue = [tc1.root]
-    used2 = {tc2.root}
+def _transport(c1, g1, c2, g2, x1, x2, partial: bool = False) -> Optional[dict]:
+    """Grow the vertex map x1 -> x2 from graph g1 to graph g2 along base
+    edges; None on a conflict.
+
+    c1 and c2 carry the projections of g1 and g2.  At each mapped pair the
+    lifts of one base edge are paired in canonical edge order; covers
+    lift each base end once.  Strict mode fails when the two vertices see
+    different base edges or different numbers of lifts of one; partial
+    mode skips a base edge with fewer lifts at the image, where the image
+    sits closer to the rim of a ball, and leaves the map partial there.
+    The map is injective and projection-compatible.
+    """
+    pv1, pv2 = c1.projection_vertices, c2.projection_vertices
+    if pv1[x1] != pv2[x2]:
+        return None
+    pair = {x1: x2}
+    used = {x2}
+    queue = [x1]
     while queue:
         x = queue.pop()
-        y = pair[x]
         inc_x = {}
-        for e, w in ball1.incident(x):
-            inc_x.setdefault(tc1.projection_edges[e], []).append((e, w))
+        for e, w in g1.incident(x):
+            inc_x.setdefault(c1.projection_edges[e], []).append((e, w))
         inc_y = {}
-        for e, w in ball2.incident(y):
-            inc_y.setdefault(tc2.projection_edges[e], []).append((e, w))
-        if set(inc_x) != set(inc_y):
-            return False
-        for base_e in inc_x:
-            lx = inc_x[base_e]
-            ly = inc_y[base_e]
+        for e, w in g2.incident(pair[x]):
+            inc_y.setdefault(c2.projection_edges[e], []).append((e, w))
+        if not partial and set(inc_x) != set(inc_y):
+            return None
+        for base_e, lx in inc_x.items():
+            ly = inc_y.get(base_e, [])
             if len(lx) != len(ly):
-                return False
-            # match ends in canonical order; covers lift each base end once
-            lx = sorted(lx, key=lambda p: ball1.epos(p[0]))
-            ly = sorted(ly, key=lambda p: ball2.epos(p[0]))
-            for (e1, w1), (e2, w2) in zip(lx, ly):
+                if not partial:
+                    return None
+                if len(lx) > len(ly):
+                    continue
+            lx = sorted(lx, key=lambda p: g1.epos(p[0]))
+            ly = sorted(ly, key=lambda p: g2.epos(p[0]))
+            for (_e1, w1), (_e2, w2) in zip(lx, ly):
                 if w1 in pair:
                     if pair[w1] != w2:
-                        return False
+                        return None
+                elif w2 in used or pv1[w1] != pv2[w2]:
+                    return None
                 else:
-                    if (w2 in used2
-                            or tc1.projection_vertices[w1] != tc2.projection_vertices[w2]):
-                        return False
                     pair[w1] = w2
-                    used2.add(w2)
+                    used.add(w2)
                     queue.append(w1)
-    if len(pair) != len(ball1.vertices) or len(used2) != len(ball2.vertices):
-        return False
-    return all(tc1.depths[x] == tc2.depths[y] for x, y in pair.items())
+    return pair
 
 
 def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
@@ -435,7 +440,12 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
         tc.certificates["completes_with_larger_budget"] = True
         return tc
     tc2 = _build_ball(g, table2, x0, truncation_radius, r, pres)
-    tc.certificates["radius_stable"] = _rooted_transport_equal(tc, tc2)
+    pair = _transport(tc, tc.ball, tc2, tc2.ball, tc.root, tc2.root)
+    tc.certificates["radius_stable"] = (
+        pair is not None
+        and len(pair) == tc.ball.n_vertices() == tc2.ball.n_vertices()
+        and tc.ball.n_edges() == tc2.ball.n_edges()
+        and all(tc.depths[x] == tc2.depths[y] for x, y in pair.items()))
     return tc
 
 
@@ -765,44 +775,10 @@ def covering_equivalence(c1, c2, budget: int = 1_000_000):
     v0 = c1.projection_vertices[c1.base_lift]
     steps = 0
     for candidate in c2.fibre(v0):
-        ok = _transport(c1, c2, c1.base_lift, candidate)
+        pair = _transport(c1, c1.cover, c2, c2.cover, c1.base_lift, candidate)
         steps += c1.cover.n_vertices()
         if steps > budget:
             return UNDECIDED
-        if ok:
+        if pair is not None and len(pair) == c1.cover.n_vertices():
             return True
     return False
-
-
-def _transport(c1: Covering, c2: Covering, x1, x2) -> bool:
-    pair = {x1: x2}
-    queue = [x1]
-    used = {x2}
-    while queue:
-        x = queue.pop()
-        y = pair[x]
-        inc_x = {}
-        for e, w in c1.cover.incident(x):
-            inc_x.setdefault(c1.projection_edges[e], []).append((e, w))
-        inc_y = {}
-        for e, w in c2.cover.incident(y):
-            inc_y.setdefault(c2.projection_edges[e], []).append((e, w))
-        if set(inc_x) != set(inc_y):
-            return False
-        for base_e, lx in inc_x.items():
-            ly = inc_y[base_e]
-            if len(lx) != len(ly):
-                return False
-            lx = sorted(lx, key=lambda p: c1.cover.epos(p[0]))
-            ly = sorted(ly, key=lambda p: c2.cover.epos(p[0]))
-            for (e1, w1), (e2, w2) in zip(lx, ly):
-                if w1 in pair:
-                    if pair[w1] != w2:
-                        return False
-                elif w2 in used:
-                    return False
-                else:
-                    pair[w1] = w2
-                    used.add(w2)
-                    queue.append(w1)
-    return len(pair) == c1.cover.n_vertices()

@@ -489,8 +489,9 @@ def enumerate_tangles(g_or_universe, k: int):
     return out
 
 
-def assert_consistent(t: Tangle) -> None:
-    """Tangles are consistent; verify it on the maximal small sides."""
+def _maximal_small_sides(t: Tangle) -> list:
+    """The (vertex, edge) masks of the small sides of t that lie in no
+    other small side."""
     maxima = []
     for i in range(len(t.choices)):
         v, e = t.small_mask(i)
@@ -498,6 +499,12 @@ def assert_consistent(t: Tangle) -> None:
             continue
         maxima = [(av, ae) for av, ae in maxima if not ((av | v) == v and (ae | e) == e)]
         maxima.append((v, e))
+    return maxima
+
+
+def assert_consistent(t: Tangle) -> None:
+    """Tangles are consistent; verify it on the maximal small sides."""
+    maxima = _maximal_small_sides(t)
     bits = t.universe.graph.bits()
     for (v1, e1), (v2, e2) in combinations(maxima, 2):
         if (v1 | v2) == bits.vall and (e1 | e2) == bits.eall:
@@ -582,14 +589,7 @@ def _assert_triple_condition(t: Tangle) -> None:
     cap = t.order - 1
     if _no_tangles_at_all(g, t.order):
         raise GraphError("three forced small sides cover the graph")
-    maxima = []
-    for i in range(len(t.choices)):
-        v, e = t.small_mask(i)
-        if any((v | av) == av and (e | ae) == ae for av, ae in maxima):
-            continue
-        maxima = [(av, ae) for av, ae in maxima if not ((av | v) == v and (ae | e) == e)]
-        maxima.append((v, e))
-    opts = maxima
+    opts = _maximal_small_sides(t)
     for i1 in range(len(opts)):
         v1, e1 = opts[i1]
         if _residual_fits_sets(bits, eends, cap, v1, e1, 2):

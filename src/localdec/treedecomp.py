@@ -14,7 +14,13 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from localdec.multigraph import GraphError, Multigraph
-from localdec.tangles import NestedSet, Separation, nested, oriented_le
+from localdec.tangles import (
+    NestedSet,
+    Separation,
+    _apply_vertex_map_to_mask,
+    nested,
+    oriented_le,
+)
 
 
 def _seps_of(n) -> tuple:
@@ -214,38 +220,43 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
     return td
 
 
-def _side_of_tree_edge(td: TreeDecomposition, edge, towards) -> int:
-    """Vertex mask of the union of parts in the component of tree - edge
-    containing `towards`."""
-    a, b = td.tree.ends[edge]
-    seen = {towards}
-    stack = [towards]
-    while stack:
-        t = stack.pop()
-        for e, w in td.tree.incident(t):
-            if e == edge or w in seen:
-                continue
-            seen.add(w)
-            stack.append(w)
-    mask = 0
-    for t in seen:
-        mask |= td.part_mask(t)
-    return mask
+def _tree_edge_sides(td: TreeDecomposition, edges) -> dict:
+    """(tree edge, end) -> vertex mask of the union of the parts in the
+    component of tree - edge that contains that end."""
+    out = {}
+    for edge in edges:
+        for end in td.tree.ends[edge]:
+            seen = {end}
+            stack = [end]
+            while stack:
+                t = stack.pop()
+                for e, w in td.tree.incident(t):
+                    if e == edge or w in seen:
+                        continue
+                    seen.add(w)
+                    stack.append(w)
+            mask = 0
+            for t in seen:
+                mask |= td.part_mask(t)
+            out[edge, end] = mask
+    return out
 
 
 def induced_oriented_separation(td: TreeDecomposition, edge, towards) -> tuple:
     """(A, B) masks induced by the tree edge oriented towards `towards`."""
     a, b = td.tree.ends[edge]
     other = a if towards == b else b
-    return (_side_of_tree_edge(td, edge, other), _side_of_tree_edge(td, edge, towards))
+    sides = _tree_edge_sides(td, [edge])
+    return sides[edge, other], sides[edge, towards]
 
 
 def _assert_round_trip(td: TreeDecomposition) -> None:
     want = {(s.a_mask, s.b_mask) for s in td.separations}
+    sides = _tree_edge_sides(td, td.tree.edges)
     got = set()
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
-        am, bm = induced_oriented_separation(td, e, b)
+        am, bm = sides[e, a], sides[e, b]
         got.add((am, bm) if am <= bm else (bm, am))
         s = td.edge_separation[e]
         if {am, bm} != {s.a_mask, s.b_mask}:
@@ -256,15 +267,15 @@ def _assert_round_trip(td: TreeDecomposition) -> None:
 
 def _assert_alpha_order_isomorphism(td: TreeDecomposition) -> None:
     # orienting consecutive edges of the tree the same way must respect <=
+    sides = _tree_edge_sides(td, td.tree.edges)
     for t in td.tree.vertices:
         for e1, w1 in td.tree.incident(t):
             for e2, w2 in td.tree.incident(t):
                 if e1 == e2:
                     continue
                 # e1 oriented (w1 -> t), e2 oriented (t -> w2)
-                a1 = induced_oriented_separation(td, e1, t)
-                a2 = induced_oriented_separation(td, e2, w2)
-                if not oriented_le(a1[0], a1[1], a2[0], a2[1]):
+                if not oriented_le(sides[e1, w1], sides[e1, t],
+                                   sides[e2, t], sides[e2, w2]):
                     raise GraphError("tree orientations are not order-compatible")
 
 
@@ -275,7 +286,6 @@ class TreeDecompositionReport:
     subtrees_connected: bool
     adhesion_identity: bool
     regular: bool
-    point_finite: bool
     max_adhesion: int
     max_part_size: int
 
@@ -283,12 +293,12 @@ class TreeDecompositionReport:
     def passed(self) -> bool:
         return (self.covers_vertices and self.covers_edges
                 and self.subtrees_connected and self.adhesion_identity
-                and self.regular and self.point_finite)
+                and self.regular)
 
     def failures(self) -> list:
         out = []
         for name in ("covers_vertices", "covers_edges", "subtrees_connected",
-                     "adhesion_identity", "regular", "point_finite"):
+                     "adhesion_identity", "regular"):
             if not getattr(self, name):
                 out.append(name)
         return out
@@ -300,7 +310,6 @@ class TreeDecompositionReport:
             "subtrees_connected": self.subtrees_connected,
             "adhesion_identity": self.adhesion_identity,
             "regular": self.regular,
-            "point_finite": self.point_finite,
             "max_adhesion": self.max_adhesion,
             "max_part_size": self.max_part_size,
             "passed": self.passed,
@@ -335,31 +344,24 @@ def verify_tree_decomposition(g: Multigraph, td: TreeDecomposition) -> TreeDecom
             break
 
     adhesion_identity = True
-    max_adhesion = 0
-    for e in td.tree.edges:
-        a, b = td.tree.ends[e]
-        inter = td.part_mask(a) & td.part_mask(b)
-        am, bm = induced_oriented_separation(td, e, b)
-        sep = am & bm
-        if inter != sep:
-            adhesion_identity = False
-        max_adhesion = max(max_adhesion, sep.bit_count())
-
     regular = True
+    max_adhesion = 0
+    sides = _tree_edge_sides(td, td.tree.edges)
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
-        am, bm = induced_oriented_separation(td, e, b)
+        am, bm = sides[e, a], sides[e, b]
+        sep = am & bm
+        if td.part_mask(a) & td.part_mask(b) != sep:
+            adhesion_identity = False
         if am == bits.vall or bm == bits.vall:
             regular = False
+        max_adhesion = max(max_adhesion, sep.bit_count())
 
-    point_finite = all(
-        sum(1 for t in td.tree.vertices if v in set(td.parts[t])) < float("inf")
-        for v in g.vertices)
     max_part = max((len(td.parts[t]) for t in td.tree.vertices), default=0)
 
     return TreeDecompositionReport(covers_vertices, covers_edges,
                                    subtrees_connected, adhesion_identity,
-                                   regular, point_finite, max_adhesion, max_part)
+                                   regular, max_adhesion, max_part)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +380,10 @@ def node_map_under(td: TreeDecomposition, iso) -> Optional[dict]:
     seps = td.separations
     sep_index = {(s.a_mask, s.b_mask): i for i, s in enumerate(seps)}
 
-    def map_mask(mask: int) -> int:
-        out = 0
-        while mask:
-            b = mask & -mask
-            v = g.vertices[b.bit_length() - 1]
-            out |= 1 << g.vpos(iso.vertex_map[v])
-            mask ^= b
-        return out
-
     mapped_member = {}
     for i, s in enumerate(seps):
-        am, bm = map_mask(s.a_mask), map_mask(s.b_mask)
+        am = _apply_vertex_map_to_mask(g, iso, s.a_mask)
+        bm = _apply_vertex_map_to_mask(g, iso, s.b_mask)
         key = (am, bm) if am <= bm else (bm, am)
         j = sep_index.get(key)
         if j is None:
@@ -397,7 +391,7 @@ def node_map_under(td: TreeDecomposition, iso) -> Optional[dict]:
         target = seps[j]
         for flag in (0, 1):
             first, _second = s.oriented(bool(flag))
-            mf = map_mask(first)
+            mf = _apply_vertex_map_to_mask(g, iso, first)
             tflag = 0 if mf == target.a_mask else 1
             if target.oriented(bool(tflag))[0] != mf:
                 return None

@@ -378,6 +378,21 @@ def test_asymmetric_parts_are_not_canonical():
     assert verify_canonicity(g, d, autos) is False
 
 
+def test_model_maps_keep_loops():
+    g = Multigraph("uv", [("e", ("u", "v"))])
+    parts = {"a": g.subgraph(["u"], []), "b": g.subgraph(["v"], [])}
+    d = GraphDecomposition(g, Multigraph("ab", [("f0", ("a", "b")), ("f1", ("a", "a"))]),
+                           parts)
+    autos = automorphisms(g)
+    assert len(autos) == 2
+    # the swap must send the node with the loop to the node without one
+    assert verify_canonicity(g, d, autos) is False
+    moved = GraphDecomposition(
+        g, Multigraph("ab", [("f0", ("a", "b")), ("f1", ("b", "b"))]), parts)
+    assert decompositions_agree(d, d)
+    assert not decompositions_agree(d, moved)
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------

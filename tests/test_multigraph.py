@@ -60,7 +60,8 @@ def random_connected_graph(rng, n, extra, allow_multi=False):
     for i in range(1, n):
         edges.append((f"t{i}", (rng.randrange(i), i)))
     k = 0
-    while k < extra:
+    # one vertex leaves no room for a non-loop edge
+    while n > 1 and k < extra:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
@@ -598,3 +599,7 @@ def test_json_round_trip_preserves_order():
     assert g2.vertices == ("c", "a", "b")
     assert g2.edges == ("e2", "e1", "l")
     assert g2.ends["l"] == ("b", "b")
+
+
+def test_random_connected_graph_on_one_vertex():
+    assert random_connected_graph(random.Random(0), 1, 3) == Multigraph([0], [])
