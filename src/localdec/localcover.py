@@ -107,7 +107,9 @@ class Covering:
         self._vid = vid
         self.base_lift = vid[(base_point, 0)]
         self._fibre_coord = {name: pair for pair, name in vid.items()}
-        self._check_covering_condition()
+        bad = covering_failure(self)
+        if bad is not None:
+            raise CoverError("star at %s does not project bijectively" % bad)
         if not self.cover.is_connected():
             raise CoverError("derived graph is disconnected: voltages do not "
                              "generate the deck group")
@@ -135,22 +137,6 @@ class Covering:
         for (e, i), name in self._eid.items():
             out[name] = self._eid[(e, self.deck.op(h, i))]
         return out
-
-    def _check_covering_condition(self):
-        base_star = {}
-        for v in self.base.vertices:
-            ends = {}
-            for e, w in self.base.incident(v):
-                ends[e] = ends.get(e, 0) + (2 if w == v else 1)
-            base_star[v] = ends
-        for name in self.cover.vertices:
-            v = self.projection_vertices[name]
-            ends = {}
-            for ce, w in self.cover.incident(name):
-                e = self.projection_edges[ce]
-                ends[e] = ends.get(e, 0) + (2 if w == name else 1)
-            if ends != base_star[v]:
-                raise CoverError("star at %s does not project bijectively" % name)
 
     def check_deck_action(self) -> bool:
         """Deck maps are automorphisms over the base, free and fibre-transitive."""
@@ -533,6 +519,44 @@ def lift_walk(cov, w: Walk, start) -> Walk:
 # verifiers
 # ---------------------------------------------------------------------------
 
+def _graph_of(cov) -> Multigraph:
+    return cov.ball if isinstance(cov, TruncatedCover) else cov.cover
+
+
+def _visible_from(cov, margin: int):
+    """The cover vertices whose radius-`margin` neighbourhood lies wholly in
+    the cover graph: all of them, or on a truncated ball those at depth at
+    most radius - margin."""
+    if isinstance(cov, TruncatedCover):
+        core = cov.radius - margin
+        return [x for x in cov.ball.vertices if cov.depths[x] <= core]
+    return cov.cover.vertices
+
+
+def covering_failure(cov):
+    """The first cover vertex whose star does not project bijectively onto
+    the star of its image, or None when the covering condition holds.
+
+    A truncated ball holds the whole star of a vertex only below its rim,
+    so there the vertices at depth < radius are checked.
+    """
+    base_star = {}
+    for v in cov.base.vertices:
+        ends = {}
+        for e, w in cov.base.incident(v):
+            ends[e] = ends.get(e, 0) + (2 if w == v else 1)
+        base_star[v] = ends
+    graph = _graph_of(cov)
+    for x in _visible_from(cov, 1):
+        ends = {}
+        for ce, w in graph.incident(x):
+            e = cov.projection_edges[ce]
+            ends[e] = ends.get(e, 0) + (2 if w == x else 1)
+        if ends != base_star[cov.projection_vertices[x]]:
+            return x
+    return None
+
+
 def verify_ball_preservation(cov, rho: int):
     """Are all distinct lifts of a common vertex at distance > rho?
 
@@ -540,34 +564,20 @@ def verify_ball_preservation(cov, rho: int):
     radius - rho, where a distance-rho neighbourhood is fully visible;
     with radius < rho + 1 the question is undecided.
     """
-    if isinstance(cov, Covering):
-        for v in cov.base.vertices:
-            for x in cov.fibre(v):
-                dist = cov.cover.distances(x, cap=rho)
-                for y in cov.fibre(v):
-                    if y != x and y in dist:
-                        return False
-        return True
-    if isinstance(cov, TruncatedCover):
-        if cov.radius < rho + 1:
-            return UNDECIDED
-        core = cov.radius - rho
-        for x in cov.ball.vertices:
-            if cov.depths[x] > core:
-                continue
-            v = cov.projection_vertices[x]
-            dist = cov.ball.distances(x, cap=rho)
-            for y in dist:
-                if y != x and cov.projection_vertices[y] == v:
-                    return False
-        return True
-    raise CoverError("unknown cover object %r" % (cov,))
+    if isinstance(cov, TruncatedCover) and cov.radius < rho + 1:
+        return UNDECIDED
+    graph = _graph_of(cov)
+    proj = cov.projection_vertices
+    for x in _visible_from(cov, rho):
+        for y in graph.distances(x, cap=rho):
+            if y != x and proj[y] == proj[x]:
+                return False
+    return True
 
 
 def verify_cover_cycle_space(cov, r: int) -> bool:
     """Do the short cycles of the cover graph span its whole cycle space?"""
-    graph = cov.cover if isinstance(cov, Covering) else cov.ball
-    return short_cycles_span(graph, r)
+    return short_cycles_span(_graph_of(cov), r)
 
 
 def verify_idempotence(g: Multigraph, r: int, r2: int,

@@ -9,7 +9,7 @@ maximal elements and every oriented separation lies in exactly one star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -148,6 +148,30 @@ class TreeDecomposition:
                       for e in self.tree.edges],
         }
 
+    @staticmethod
+    def from_json_obj(g: Multigraph, obj: dict) -> "TreeDecomposition":
+        """Read `to_json_obj` output back over the graph g, for the verifier.
+
+        Tree edge i is named "s<i>" as in `induce_tree_decomposition`.  Its
+        separation joins the vertices on either side of it in the tree
+        along the stored adhesion, so a wrong adhesion fails
+        `adhesion_identity`.  Splitting stars are not stored and stay empty.
+        """
+        parts = {n["id"]: tuple(n["part"]) for n in obj["nodes"]}
+        tree = Multigraph(list(parts), (("s%d" % i, (d["a"], d["b"]))
+                                        for i, d in enumerate(obj["edges"])))
+        td = TreeDecomposition(g, tree, parts, {}, {}, ())
+        sides = _tree_edge_sides(td, tree.edges)
+        full = g.bits().vall
+        for e, d in zip(tree.edges, obj["edges"]):
+            a, b = tree.ends[e]
+            adhesion = g.vertex_mask(d["adhesion"])
+            td.edge_separation[e] = Separation(
+                (sides[e, a] & ~sides[e, b]) | adhesion,
+                (sides[e, b] & ~sides[e, a]) | adhesion, full)
+        td.separations = tuple(td.edge_separation.values())
+        return td
+
     def to_dot(self) -> str:
         lines = ["graph tree_decomposition {"]
         for t in self.tree.vertices:
@@ -199,7 +223,7 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
         edges.append((eid, (a, b)))
         edge_sep[eid] = s
     tree = Multigraph(node_ids, edges)
-    if len(tree.vertices) != len(tree.edges) + 1 or not tree.is_connected():
+    if not _is_tree(tree):
         raise GraphError("splitting stars do not form a tree")
 
     parts = {}
@@ -218,6 +242,10 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
     _assert_round_trip(td)
     _assert_alpha_order_isomorphism(td)
     return td
+
+
+def _is_tree(tree: Multigraph) -> bool:
+    return tree.n_vertices() == tree.n_edges() + 1 and tree.is_connected()
 
 
 def _tree_edge_sides(td: TreeDecomposition, edges) -> dict:
@@ -281,6 +309,7 @@ def _assert_alpha_order_isomorphism(td: TreeDecomposition) -> None:
 
 @dataclass
 class TreeDecompositionReport:
+    is_tree: bool
     covers_vertices: bool
     covers_edges: bool
     subtrees_connected: bool
@@ -289,79 +318,53 @@ class TreeDecompositionReport:
     max_adhesion: int
     max_part_size: int
 
+    _AXIOMS = ("is_tree", "covers_vertices", "covers_edges",
+               "subtrees_connected", "adhesion_identity", "regular")
+
     @property
     def passed(self) -> bool:
-        return (self.covers_vertices and self.covers_edges
-                and self.subtrees_connected and self.adhesion_identity
-                and self.regular)
+        return not self.failures()
 
     def failures(self) -> list:
-        out = []
-        for name in ("covers_vertices", "covers_edges", "subtrees_connected",
-                     "adhesion_identity", "regular"):
-            if not getattr(self, name):
-                out.append(name)
-        return out
+        return [name for name in self._AXIOMS if not getattr(self, name)]
 
     def to_json_obj(self) -> dict:
-        return {
-            "covers_vertices": self.covers_vertices,
-            "covers_edges": self.covers_edges,
-            "subtrees_connected": self.subtrees_connected,
-            "adhesion_identity": self.adhesion_identity,
-            "regular": self.regular,
-            "max_adhesion": self.max_adhesion,
-            "max_part_size": self.max_part_size,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_tree_decomposition(g: Multigraph, td: TreeDecomposition) -> TreeDecompositionReport:
     """Check the decomposition axioms and report, never raise."""
-    bits = g.bits()
+    vall = g.bits().vall
+    masks = {t: td.part_mask(t) for t in td.tree.vertices}
     union = 0
-    for t in td.tree.vertices:
-        union |= td.part_mask(t)
-    covers_vertices = union == bits.vall
+    for m in masks.values():
+        union |= m
+    covers_edges = all(
+        any(g.vertex_mask(g.ends[e]) & ~m == 0 for m in masks.values())
+        for e in g.edges)
 
-    covers_edges = True
-    for e in g.edges:
-        u, v = g.ends[e]
-        m = g.vertex_mask([u, v])
-        if not any((m | td.part_mask(t)) == td.part_mask(t) for t in td.tree.vertices):
-            covers_edges = False
-            break
+    def subtree_connected(v) -> bool:
+        bit = g.vertex_mask([v])
+        holders = [t for t, m in masks.items() if m & bit]
+        return bool(holders) and td.tree.induced(holders).is_connected()
 
-    subtrees_connected = True
-    for v in g.vertices:
-        holders = [t for t in td.tree.vertices if v in set(td.parts[t])]
-        if not holders:
-            subtrees_connected = False
-            break
-        sub = td.tree.induced(holders)
-        if not sub.is_connected():
-            subtrees_connected = False
-            break
-
-    adhesion_identity = True
-    regular = True
+    adhesion_identity = regular = True
     max_adhesion = 0
     sides = _tree_edge_sides(td, td.tree.edges)
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
         am, bm = sides[e, a], sides[e, b]
         sep = am & bm
-        if td.part_mask(a) & td.part_mask(b) != sep:
+        if masks[a] & masks[b] != sep or td.edge_separation[e].separator != sep:
             adhesion_identity = False
-        if am == bits.vall or bm == bits.vall:
+        if vall in (am, bm):
             regular = False
         max_adhesion = max(max_adhesion, sep.bit_count())
 
-    max_part = max((len(td.parts[t]) for t in td.tree.vertices), default=0)
-
-    return TreeDecompositionReport(covers_vertices, covers_edges,
-                                   subtrees_connected, adhesion_identity,
-                                   regular, max_adhesion, max_part)
+    return TreeDecompositionReport(
+        _is_tree(td.tree), union == vall, covers_edges,
+        all(map(subtree_connected, g.vertices)), adhesion_identity, regular,
+        max_adhesion, max((len(p) for p in td.parts.values()), default=0))
 
 
 # ---------------------------------------------------------------------------

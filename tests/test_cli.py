@@ -159,6 +159,70 @@ def test_verify_cover_artifact_and_r_mismatch(tmp_path):
     assert run("verify", "--input", str(fake_path), "--r", "6") == 1
 
 
+def test_verify_accepts_certified_truncated_covers(tmp_path):
+    # rim vertices (depth = radius) lack part of their star; only the
+    # stars below the rim are checked
+    cases = [(cycle_graph(5), "4", "400"), (necklace(4), "3", "3000")]
+    for i, (g, r, limit) in enumerate(cases):
+        inp = write_graph(tmp_path / ("g%d.json" % i), g)
+        out = tmp_path / ("cover%d.json" % i)
+        assert run("cover", "--input", inp, "--r", r, "--coset-limit", limit,
+                   "--out", str(out)) == 3
+        report = tmp_path / ("report%d.json" % i)
+        assert run("verify", "--input", str(out), "--out", str(report)) == 0
+        obj = json.loads(report.read_text())
+        assert obj["covering_condition"] is True
+        assert obj["truncated"] is True
+
+
+def test_verify_recomputes_truncated_lift_separation(tmp_path):
+    inp = write_graph(tmp_path / "c5.json", cycle_graph(5))
+    out = tmp_path / "cover.json"
+    assert run("cover", "--input", inp, "--r", "4", "--coset-limit", "400",
+               "--out", str(out)) == 3
+    report = tmp_path / "report.json"
+    assert run("verify", "--input", str(out), "--r", "4",
+               "--out", str(report)) == 0
+    assert json.loads(report.read_text())["lift_separation"] is True
+    # the cover of C5 is a path: lifts of a vertex lie at distance 5
+    assert run("verify", "--input", str(out), "--r", "5",
+               "--out", str(report)) == 1
+    obj = json.loads(report.read_text())
+    assert obj["lift_separation"] is False
+    assert obj["certificates"]["lift_separation"] is True
+
+
+def test_verify_tree_artifact(tmp_path):
+    from test_tangles import two_k5s
+    inp = write_graph(tmp_path / "g.json", two_k5s())
+    out = tmp_path / "tree.json"
+    assert run("tree", "--input", inp, "--max-tangle-order", "3",
+               "--out", str(out)) == 0
+    report = tmp_path / "report.json"
+    assert run("verify", "--input", str(out), "--out", str(report)) == 0
+    obj = json.loads(report.read_text())
+    assert obj["artifact"] == "tree-decomposition"
+    assert obj["is_tree"] and obj["regular"]
+    assert obj["max_adhesion"] == 1
+    assert obj["max_part_size"] == 5
+
+    tree = json.loads(out.read_text())
+    assert tree["edges"][0]["adhesion"]
+    no_adhesion = json.loads(out.read_text())
+    no_adhesion["edges"][0]["adhesion"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(no_adhesion))
+    assert run("verify", "--input", str(bad), "--out", str(report)) == 1
+    assert json.loads(report.read_text())["adhesion_identity"] is False
+
+    for node in range(len(tree["nodes"])):
+        for v in tree["nodes"][node]["part"]:
+            dropped = json.loads(out.read_text())
+            dropped["nodes"][node]["part"].remove(v)
+            bad.write_text(json.dumps(dropped))
+            assert run("verify", "--input", str(bad), "--out", str(report)) == 1
+
+
 def test_gamma_r_command(tmp_path):
     cay = cayley_graph(FiniteGroup.cyclic(5), [("s", 1)])
     inp = tmp_path / "cay.json"
