@@ -29,7 +29,7 @@ from localdec.multigraph import (
     Isomorphism,
     Multigraph,
     UNDECIDED,
-    automorphisms,
+    automorphism_group,
     ball,
 )
 from localdec.tangles import BudgetError, Separation, canonical_nested_set
@@ -465,9 +465,8 @@ def verify_canonicity(g: Multigraph, d: GraphDecomposition, autos) -> bool:
 
     True when each automorphism a has a model automorphism psi_a with
     a(part(h)) = part(psi_a(h)).  Such maps compose: psi_a o psi_b is one
-    for a o b.  So the correspondence needs no check on pairs; a pair
-    could only fail when `autos` is not closed under composition, which
-    is a fault of the automorphism search, not of the decomposition.
+    for a o b.  So the correspondence needs no check on pairs, and `autos`
+    may be a generating set of the group rather than all of it.
     """
     if autos is UNDECIDED:
         raise DecompositionError("automorphism list is undecided")
@@ -525,9 +524,19 @@ def decompositions_agree(d1: GraphDecomposition, d2: GraphDecomposition) -> bool
 
 
 def _finite_pipeline(cov: Covering, max_tangle_order: int,
-                     automorphism_budget: int):
+                     automorphism_budget: int, group):
+    cover_group = None
+    if cov.sheets() == 1 and group is not UNDECIDED:
+        # the projection of a one-sheeted cover is an isomorphism, so the
+        # base's group carried over saves a second search
+        lift_v = {cov.projection_vertices[x]: x for x in cov.cover.vertices}
+        lift_e = {cov.projection_edges[f]: f for f in cov.cover.edges}
+        cover_group = ([Isomorphism({lift_v[u]: lift_v[w] for u, w in a.vertex_map.items()},
+                                    {lift_e[e]: lift_e[f] for e, f in a.edge_map.items()})
+                        for a in group[0]], group[1])
     ns = canonical_nested_set(cov.cover, max_tangle_order,
-                              automorphism_budget=automorphism_budget)
+                              automorphism_budget=automorphism_budget,
+                              group=cover_group)
     td = induce_tree_decomposition(cov.cover, ns)
     dec = quotient_decomposition(cov, td)
     return dec, dec.edge_labels, {
@@ -647,10 +656,11 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
     if not g.is_connected():
         raise PipelineError("decompose needs a connected graph")
     cov = local_cover(g, r, coset_limit, truncation_radius)
+    group = automorphism_group(g, budget=automorphism_budget)
     try:
         if isinstance(cov, Covering):
             dec, edge_labels, info = _finite_pipeline(cov, max_tangle_order,
-                                                      automorphism_budget)
+                                                      automorphism_budget, group)
             mode = "finite"
             info["heuristic"] = None
         else:
@@ -677,11 +687,10 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
             {"max_tangle_order": max_tangle_order, "cause": str(exc)}) from exc
 
     report = verify_graph_decomposition(g, dec)
-    autos = automorphisms(g, budget=automorphism_budget)
-    if autos is UNDECIDED:
+    if group is UNDECIDED:
         canonicity = None
     else:
-        canonicity = verify_canonicity(g, dec, autos)
+        canonicity = verify_canonicity(g, dec, group[0])
     provenance = {
         "r": r,
         "mode": mode,
@@ -689,7 +698,7 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
         "coset_limit": coset_limit,
         "truncation_radius": truncation_radius if mode == "truncated" else None,
         "details": info,
-        "automorphisms": None if autos is UNDECIDED else len(autos),
+        "automorphisms": None if group is UNDECIDED else group[1],
     }
     return DecompositionResult(g, r, dec, edge_labels, report, canonicity,
                                provenance)

@@ -252,10 +252,6 @@ class CosetTable:
                 return None
         return cur
 
-    def scan_check(self) -> bool:
-        """On complete tables: every relator fixes every coset (used by tests)."""
-        return self.complete
-
     def __repr__(self):
         state = "complete" if self.complete else "partial"
         return "CosetTable(%s, %d cosets)" % (state, len(self.table))

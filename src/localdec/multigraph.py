@@ -11,7 +11,7 @@ canonical order.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -105,14 +105,6 @@ class Multigraph:
         for e, w in self._inc[v]:
             d += 2 if w == v else 1
         return d
-
-    def other_end(self, e, v):
-        u, w = self.ends[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise GraphError("vertex %r is not an endpoint of edge %r" % (v, e))
 
     def edges_between(self, u, v):
         """Edges with endpoint set {u, v}, in canonical order."""
@@ -245,9 +237,6 @@ class Multigraph:
                 and self.vertices == other.vertices
                 and self.edges == other.edges
                 and self.ends == other.ends)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return "Multigraph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
@@ -420,9 +409,6 @@ class CycleSubgraph:
 
     def walk_once_around(self) -> Walk:
         return Walk(self.vertices + (self.vertices[0],), self.edges)
-
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
 
 
 def _cycle_from_edge_set(g: Multigraph, eset) -> CycleSubgraph:
@@ -754,12 +740,6 @@ class Isomorphism:
     def __repr__(self):
         return "Isomorphism(%r)" % (self.vertex_map,)
 
-    def apply_vertex(self, v):
-        return self.vertex_map[v]
-
-    def apply_edge(self, e):
-        return self.edge_map[e]
-
     def compose(self, other: "Isomorphism") -> "Isomorphism":
         """self after other."""
         return Isomorphism(
@@ -794,45 +774,44 @@ def is_valid_isomorphism(g1: Multigraph, g2: Multigraph, iso: Isomorphism) -> bo
     return True
 
 
-def _initial_colors(g: Multigraph):
+def _initial_colors(g: Multigraph, pinned):
+    pin = {v: i for i, v in enumerate(pinned)}
     cols = []
     for v in g.vertices:
         loops = sum(1 for e, w in g.incident(v) if w == v)
-        cols.append((g.degree(v), loops))
+        cols.append((g.degree(v), loops, pin.get(v, -1)))
     return cols
 
 
-def _refine_colors(g1, g2):
-    """Synchronized 1-dimensional color refinement; None when class sizes split apart."""
-    c1 = _initial_colors(g1)
-    c2 = _initial_colors(g2)
+def _refine_colors(graphs, pins):
+    """Synchronized 1-dimensional color refinement of one or more graphs.
+
+    pins[k] lists vertices of graphs[k] to individualize: the i-th pinned
+    vertex of every graph gets one color of its own.  Returns one color
+    list per graph, indexed by vertex position, or None when the class
+    sizes of two graphs split apart.
+    """
+    cols = [_initial_colors(g, p) for g, p in zip(graphs, pins)]
+    nbrs = [[[g.vpos(w) for e, w in g.incident(v)] for v in g.vertices] for g in graphs]
     while True:
         key = {}
-        for cols in (c1, c2):
-            for c in cols:
+        for cs in cols:
+            for c in cs:
                 key.setdefault(c, len(key))
-        c1 = [key[c] for c in c1]
-        c2 = [key[c] for c in c2]
-        from collections import Counter
-        if Counter(c1) != Counter(c2):
+        cols = [[key[c] for c in cs] for cs in cols]
+        sizes = Counter(cols[0])
+        if any(Counter(cs) != sizes for cs in cols[1:]):
             return None
-        sig1 = []
-        for i, v in enumerate(g1.vertices):
-            nb = sorted(c1[g1.vpos(w)] for e, w in g1.incident(v))
-            sig1.append((c1[i], tuple(nb)))
-        sig2 = []
-        for i, v in enumerate(g2.vertices):
-            nb = sorted(c2[g2.vpos(w)] for e, w in g2.incident(v))
-            sig2.append((c2[i], tuple(nb)))
-        key2 = {}
-        for sig in (sig1, sig2):
+        sigs = [[(cs[i], tuple(sorted(cs[j] for j in nb))) for i, nb in enumerate(nbs)]
+                for cs, nbs in zip(cols, nbrs)]
+        key = {}
+        for sig in sigs:
             for s in sig:
-                key2.setdefault(s, len(key2))
-        n1 = [key2[s] for s in sig1]
-        n2 = [key2[s] for s in sig2]
-        if n1 == c1 and n2 == c2:
-            return c1, c2
-        c1, c2 = n1, n2
+                key.setdefault(s, len(key))
+        refined = [[key[s] for s in sig] for sig in sigs]
+        if refined == cols:
+            return cols
+        cols = refined
 
 
 def _edge_multiplicities_ok(g1, g2, u, x, mapping):
@@ -847,6 +826,8 @@ def _edge_multiplicities_ok(g1, g2, u, x, mapping):
 
 
 def _complete_edge_map(g1, g2, vmap):
+    """The edge map that keeps each class of parallel edges (and the loops
+    at each vertex) in canonical order; such maps compose to such maps."""
     emap = {}
     used = set()
     for e in g1.edges:
@@ -860,24 +841,28 @@ def _complete_edge_map(g1, g2, vmap):
     return emap
 
 
-def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, find_all: bool):
-    """Backtracking vertex search with color refinement.
+def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
+    """First isomorphism found by backtracking with color refinement.
 
-    Returns (results, exhausted); results is a list of vertex maps.
+    With pins = (xs, ys) only isomorphisms sending xs[i] to ys[i] count.
+    Returns (hit, nodes): hit is a (vertex map, edge map) pair, None when
+    there is no such isomorphism, or UNDECIDED when the search needs more
+    than `budget` nodes; nodes counts the vertex assignments tried.
     Vertices are assigned in a BFS-like order so that each new vertex has a
     mapped neighbour whenever the graph is connected, which keeps candidate
     sets small.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return [], True
-    refined = _refine_colors(g1, g2)
+        return None, 0
+    refined = _refine_colors((g1, g2), pins)
     if refined is None:
-        return [], True
+        return None, 0
     c1, c2 = refined
 
     order = []
     placed = set()
-    ranked = sorted(g1.vertices, key=lambda v: (c1.count(c1[g1.vpos(v)]), g1.vpos(v)))
+    sizes = Counter(c1)
+    ranked = sorted(g1.vertices, key=lambda v: (sizes[c1[g1.vpos(v)]], g1.vpos(v)))
     while len(order) < len(g1.vertices):
         seed = next(v for v in ranked if v not in placed)
         order.append(seed)
@@ -895,11 +880,9 @@ def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, find_all: bool):
     for x in g2.vertices:
         by_color.setdefault(c2[g2.vpos(x)], []).append(x)
 
-    results = []
     mapping = {}
     used = set()
     nodes = 0
-    exhausted = True
 
     def candidates(u):
         col = c1[g1.vpos(u)]
@@ -918,31 +901,25 @@ def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, find_all: bool):
                 and _edge_multiplicities_ok(g1, g2, u, x, mapping)]
 
     def backtrack(i):
-        nonlocal nodes, exhausted
+        nonlocal nodes
         if nodes > budget:
-            exhausted = False
-            return True
+            return UNDECIDED
         if i == len(order):
             emap = _complete_edge_map(g1, g2, mapping)
-            if emap is not None:
-                results.append((dict(mapping), emap))
-                if not find_all:
-                    return True
-            return False
+            return None if emap is None else (dict(mapping), emap)
         u = order[i]
         for x in candidates(u):
             nodes += 1
             mapping[u] = x
             used.add(x)
-            stop = backtrack(i + 1)
+            hit = backtrack(i + 1)
             del mapping[u]
             used.discard(x)
-            if stop:
-                return True
-        return False
+            if hit is not None:
+                return hit
+        return None
 
-    backtrack(0)
-    return results, exhausted
+    return backtrack(0), nodes
 
 
 def isomorphic(g1: Multigraph, g2: Multigraph, budget: int = 2_000_000):
@@ -951,25 +928,95 @@ def isomorphic(g1: Multigraph, g2: Multigraph, budget: int = 2_000_000):
     Returns an Isomorphism, None when provably non-isomorphic, or UNDECIDED
     when the search budget runs out.
     """
-    results, exhausted = _iso_search(g1, g2, budget, find_all=False)
-    if results:
-        vmap, emap = results[0]
-        return Isomorphism(vmap, emap)
-    return None if exhausted else UNDECIDED
+    hit, _nodes = _iso_search(g1, g2, budget)
+    if hit is None or hit is UNDECIDED:
+        return hit
+    return Isomorphism(*hit)
+
+
+def _orbit(v, gens) -> set:
+    orbit = {v}
+    todo = [v]
+    for x in todo:
+        for s in gens:
+            y = s.vertex_map[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def automorphism_group(g: Multigraph, budget: int = 2_000_000):
+    """(generators, order) of the automorphism group, or UNDECIDED.
+
+    The base b_1..b_k individualizes the first vertex of the smallest
+    non-singleton color class until refinement leaves only singletons.
+    From the deepest level up, each w in the class of b_i that the
+    generators found so far do not send b_i to gets one first-hit search
+    for an automorphism fixing b_1..b_{i-1} and sending b_i to w; a hit
+    is a generator, a miss rules out the orbit of w (McKay & Piperno,
+    Practical graph isomorphism II, 2014).  The generators are then a
+    strong generating set, so the order is the product of the base
+    points' orbit lengths (Seress, Permutation Group Algorithms, 2003).
+    All searches share one node budget; running out gives UNDECIDED.
+    """
+    base, cells = [], []
+    while True:
+        (colors,) = _refine_colors((g,), (base,))
+        classes = {}
+        for v, c in zip(g.vertices, colors):
+            classes.setdefault(c, []).append(v)
+        open_cells = [cell for cell in classes.values() if len(cell) > 1]
+        if not open_cells:
+            break
+        cell = min(open_cells, key=len)
+        base.append(cell[0])
+        cells.append(cell)
+    gens = []
+    order = 1
+    spent = 0
+    for i in range(len(base) - 1, -1, -1):
+        orbit = _orbit(base[i], gens)
+        ruled_out = set()
+        for w in cells[i]:
+            if w in orbit or w in ruled_out:
+                continue
+            hit, nodes = _iso_search(g, g, budget - spent,
+                                     (base[:i + 1], base[:i] + [w]))
+            spent += nodes
+            if hit is UNDECIDED:
+                return UNDECIDED
+            if hit is None:
+                ruled_out |= _orbit(w, gens)
+            else:
+                gens.append(Isomorphism(*hit))
+                orbit = _orbit(base[i], gens)
+        order *= len(orbit)
+    return gens, order
 
 
 def automorphisms(g: Multigraph, budget: int = 2_000_000):
     """The full automorphism group as an explicit list, or UNDECIDED.
 
-    The list always starts with the identity and is closed under
-    composition and inverses.
+    The list is the closure of the generators of `automorphism_group`,
+    sorted by vertex images, so it starts with the identity; it is closed
+    under composition and inverses.  UNDECIDED when that search runs out
+    of budget or the group has more than `budget` elements to list.
     """
-    results, exhausted = _iso_search(g, g, budget, find_all=True)
-    if not exhausted:
+    group = automorphism_group(g, budget)
+    if group is UNDECIDED or group[1] > budget:
         return UNDECIDED
-    autos = [Isomorphism(vmap, emap) for vmap, emap in results]
-    ident = Isomorphism.identity(g)
-    autos.sort(key=lambda a: tuple(g.vpos(a.vertex_map[v]) for v in g.vertices))
-    if ident not in autos:
-        raise GraphError("automorphism search lost the identity")
+    gens = [tuple(g.vpos(s.vertex_map[v]) for v in g.vertices) for s in group[0]]
+    elements = {tuple(range(len(g.vertices)))}
+    todo = list(elements)
+    for p in todo:
+        for s in gens:
+            q = tuple(s[i] for i in p)
+            if q not in elements:
+                elements.add(q)
+                todo.append(q)
+    autos = []
+    for p in sorted(elements):
+        vmap = {v: g.vertices[i] for v, i in zip(g.vertices, p)}
+        autos.append(Isomorphism(vmap, _complete_edge_map(g, g, vmap)))
     return autos

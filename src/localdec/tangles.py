@@ -238,9 +238,6 @@ class SeparationUniverse:
         """Number of separations of order < k (a prefix of the sorted list)."""
         return self._ends[min(max(k, 0), len(self._ends) - 1)]
 
-    def index_of(self, s: Separation) -> int:
-        return self.seps.index(s)
-
 
 @dataclass(frozen=True)
 class Tangle:
@@ -268,10 +265,6 @@ class Tangle:
 
     def big_mask(self, i: int) -> tuple:
         return self.universe.side_data[i][1 - self.choices[i]]
-
-    def orients_towards(self, i: int) -> int:
-        """Vertex mask of the big side of separation i under this tangle."""
-        return self.big_mask(i)[0]
 
     def restriction(self, k: int) -> "Tangle":
         if k > self.order:
@@ -683,7 +676,7 @@ class NestedSet:
 def canonical_nested_set(g_or_universe, max_tangle_order: int,
                          automorphism_budget: int = 200_000,
                          check_invariance: bool = True,
-                         core_mask: Optional[int] = None) -> NestedSet:
+                         core_mask: Optional[int] = None, group=None) -> NestedSet:
     """Union over distinguishable tangle pairs of their efficient
     distinguishers crossing the fewest members of the distinguisher pool.
 
@@ -694,7 +687,9 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
 
     Asserts on the result: pairwise nestedness, efficient distinguishing
     of every distinguishable pair, tightness of every member, and (budget
-    permitting) invariance under the automorphism group.
+    permitting) invariance under the automorphism group.  A caller that
+    already has that group passes it as `group`, in the form
+    `multigraph.automorphism_group` returns, and the check uses it.
     """
     if isinstance(g_or_universe, SeparationUniverse):
         uni = g_or_universe
@@ -749,7 +744,7 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
 
     invariance = None
     if check_invariance and core_mask is None:
-        invariance = _check_invariance(g, indices, uni, automorphism_budget)
+        invariance = _check_invariance(g, indices, uni, automorphism_budget, group)
 
     return NestedSet(uni, indices, tags, tuple(tangles), max_tangle_order,
                      invariance, core_filtered=core_mask is not None)
@@ -765,17 +760,19 @@ def _apply_vertex_map_to_mask(g: Multigraph, auto, mask: int) -> int:
     return out
 
 
-def _check_invariance(g, indices, uni, budget) -> Optional[bool]:
-    from localdec.multigraph import UNDECIDED, automorphisms
+def _check_invariance(g, indices, uni, budget, group) -> Optional[bool]:
+    """Invariance under a generating set, which is invariance under the group."""
+    from localdec.multigraph import UNDECIDED, automorphism_group
 
     if g.n_vertices() > 400:
         # refinement alone is too costly there; leave invariance unchecked
         return None
-    autos = automorphisms(g, budget=budget)
-    if autos is UNDECIDED:
+    if group is None:
+        group = automorphism_group(g, budget=budget)
+    if group is UNDECIDED:
         return None
     current = {(uni.seps[i].a_mask, uni.seps[i].b_mask) for i in indices}
-    for a in autos:
+    for a in group[0]:
         mapped = set()
         for am, bm in current:
             x = _apply_vertex_map_to_mask(g, a, am)

@@ -438,6 +438,14 @@ def test_pipeline_necklace_four():
     assert res.provenance["details"]["heuristic"].startswith("stable")
 
 
+def test_pipeline_necklace_six_decides_canonicity():
+    # the group has 2 * 6 * 6**6 elements, more than the default budget of
+    # search nodes; a generating set is found well within it
+    res = decompose(necklace(6), 3, 2, 3000, 10)
+    assert res.canonicity is True
+    assert res.provenance["automorphisms"] == 559_872
+
+
 def test_pipeline_necklace_caps_2_and_3_agree():
     g = necklace(4)
     r2 = decompose(g, 3, max_tangle_order=2, coset_limit=3000, truncation_radius=8)

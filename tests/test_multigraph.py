@@ -13,6 +13,7 @@ from localdec.multigraph import (
     Multigraph,
     UNDECIDED,
     Walk,
+    automorphism_group,
     automorphisms,
     ball,
     cycle_space_basis,
@@ -582,6 +583,64 @@ def test_automorphisms_form_group():
             assert a.inverse() in autos
             for b in autos:
                 assert a.compose(b) in autos
+
+
+def test_automorphism_group_orders_without_listing():
+    from test_graphdec import necklace
+    from test_tangles import glued_cliques
+
+    # a listing needs at least one search node per element; these budgets
+    # are far below the orders, so the orders come from the stabilizer chain
+    for g, order in ((necklace(4), 10_368), (glued_cliques(4), 41_472),
+                     (necklace(6), 559_872)):
+        found = automorphism_group(g, budget=5_000)
+        assert found is not UNDECIDED
+        gens, got = found
+        assert got == order
+        assert len(gens) < 20
+        assert all(is_valid_isomorphism(g, g, a) for a in gens)
+    assert automorphisms(necklace(6), budget=100_000) is UNDECIDED
+
+
+def order_preserving_edge_map(g, vmap):
+    """The i-th edge between u and v goes to the i-th edge between their
+    images (loops likewise); None when some class sizes differ."""
+    emap = {}
+    for e in g.edges:
+        u, v = g.ends[e]
+        src = g.edges_between(u, v)
+        dst = g.edges_between(vmap[u], vmap[v])
+        if len(src) != len(dst):
+            return None
+        emap[e] = dst[src.index(e)]
+    return emap
+
+
+def random_multigraph(rng, n, extra, connected):
+    edges = []
+    if connected:
+        edges += [(f"t{i}", (rng.randrange(i), i)) for i in range(1, n)]
+    edges += [(f"x{k}", (rng.randrange(n), rng.randrange(n))) for k in range(extra)]
+    return Multigraph(range(n), edges)
+
+
+def test_automorphisms_match_brute_force_on_multigraphs():
+    rng = random.Random(67)
+    disconnected = 0
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        g = random_multigraph(rng, n, rng.randrange(0, 9), rng.random() < 0.5)
+        disconnected += not g.is_connected()
+        expected = []
+        for perm in permutations(g.vertices):
+            vmap = dict(zip(g.vertices, perm))
+            emap = order_preserving_edge_map(g, vmap)
+            if emap is not None and is_valid_isomorphism(g, g, Isomorphism(vmap, emap)):
+                expected.append(Isomorphism(vmap, emap))
+        got = automorphisms(g)
+        assert got == expected
+        assert automorphism_group(g)[1] == len(expected)
+    assert disconnected >= 10
 
 
 def test_relabel_vertices_and_edges():
