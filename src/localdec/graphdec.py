@@ -13,7 +13,7 @@ produce the same decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from localdec.localcover import (
@@ -93,35 +93,23 @@ class DecompositionReport:
     adjacent_parts_intersect: bool   # honesty
     point_finite: bool
     max_vertex_multiplicity: int
-    part_sizes: tuple
+    part_sizes: list
     model_nodes: int
     model_edges: int
 
+    _AXIOMS = ("parts_cover_graph", "vertex_supports_connected",
+               "edge_supports_connected", "adjacent_parts_intersect",
+               "point_finite")
+
     @property
     def passed(self) -> bool:
-        return (self.parts_cover_graph and self.vertex_supports_connected
-                and self.edge_supports_connected and self.adjacent_parts_intersect
-                and self.point_finite)
+        return not self.failures()
 
     def failures(self) -> list:
-        names = ("parts_cover_graph", "vertex_supports_connected",
-                 "edge_supports_connected", "adjacent_parts_intersect",
-                 "point_finite")
-        return [n for n in names if not getattr(self, n)]
+        return [name for name in self._AXIOMS if not getattr(self, name)]
 
     def to_json_obj(self) -> dict:
-        return {
-            "parts_cover_graph": self.parts_cover_graph,
-            "vertex_supports_connected": self.vertex_supports_connected,
-            "edge_supports_connected": self.edge_supports_connected,
-            "adjacent_parts_intersect": self.adjacent_parts_intersect,
-            "point_finite": self.point_finite,
-            "max_vertex_multiplicity": self.max_vertex_multiplicity,
-            "part_sizes": list(self.part_sizes),
-            "model_nodes": self.model_nodes,
-            "model_edges": self.model_edges,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_graph_decomposition(g: Multigraph, d: GraphDecomposition) -> DecompositionReport:
@@ -162,7 +150,7 @@ def verify_graph_decomposition(g: Multigraph, d: GraphDecomposition) -> Decompos
         adjacent_parts_intersect=honest,
         point_finite=True,
         max_vertex_multiplicity=max(mults, default=0),
-        part_sizes=tuple(sorted(len(d.parts[h].vertices) for h in d.model.vertices)),
+        part_sizes=sorted(len(d.parts[h].vertices) for h in d.model.vertices),
         model_nodes=d.model.n_vertices(),
         model_edges=d.model.n_edges(),
     )
@@ -548,7 +536,7 @@ def _finite_pipeline(cov: Covering, max_tangle_order: int,
 
 
 def _truncated_decomposition_once(r: int, cov: TruncatedCover,
-                                  max_tangle_order: int, rim_filter: bool):
+                                  max_tangle_order: int):
     if not cov.certified:
         raise PipelineError("truncated cover is uncertified",
                             {"certificates": cov.certificates})
@@ -558,12 +546,7 @@ def _truncated_decomposition_once(r: int, cov: TruncatedCover,
                             {"radius": cov.radius, "r": r})
     core_mask = cov.ball.vertex_mask(
         [v for v in cov.ball.vertices if cov.depths[v] <= core_depth])
-    # the rim filter drops tangles whose home misses the core; it also
-    # drops the end-type tangles that carry thin global structure (an
-    # unrolled prism, say), so it stays off unless explicitly requested.
-    ns = canonical_nested_set(cov.ball, max_tangle_order,
-                              check_invariance=False,
-                              core_mask=core_mask if rim_filter else None)
+    ns = canonical_nested_set(cov.ball, max_tangle_order, check_invariance=False)
     td = induce_tree_decomposition(cov.ball, ns)
 
     core_nodes = [t for t in td.tree.vertices
@@ -636,8 +619,7 @@ def _truncated_decomposition_once(r: int, cov: TruncatedCover,
 
 def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
               coset_limit: int = 100_000, truncation_radius: int = 10,
-              automorphism_budget: int = 100_000,
-              rim_filter: bool = False) -> DecompositionResult:
+              automorphism_budget: int = 100_000) -> DecompositionResult:
     """The canonical decomposition of g displaying structure global at scale r.
 
     Finite covers go through the exact quotient construction; infinite
@@ -645,11 +627,6 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
     only when the radius-R and radius-(R-1) runs produce identical
     decompositions.  The result embeds the axiom report and, budget
     permitting, the canonicity report.
-
-    rim_filter discards ball tangles whose big sides have no common core
-    vertex before building the nested set.  It suppresses rim debris but
-    also end-type tangles, so it is off by default and always flagged in
-    the provenance when on.
     """
     if r < 1:
         raise PipelineError("locality parameter must be >= 1")
@@ -668,17 +645,17 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
                 raise PipelineError("cover enumeration undecided and truncation "
                                     "uncertified", {"certificates": cov.certificates})
             dec, edge_labels, info = _truncated_decomposition_once(
-                r, cov, max_tangle_order, rim_filter)
+                r, cov, max_tangle_order)
             cov2 = shrink_truncated(cov, truncation_radius - 1)
             dec2, _labels2, info2 = _truncated_decomposition_once(
-                r, cov2, max_tangle_order, rim_filter)
+                r, cov2, max_tangle_order)
             if not decompositions_agree(dec, dec2):
                 raise PipelineError(
                     "truncated decompositions disagree at consecutive radii",
                     {"radius": truncation_radius, "smaller": info2})
             mode = "truncated"
             info["heuristic"] = "stable at radius %d" % truncation_radius
-            info["rim_filter"] = rim_filter
+            info["rim_filter"] = False  # a fixed key of the provenance format
             info["radii_compared"] = [truncation_radius, truncation_radius - 1]
     except BudgetError as exc:
         raise PipelineError(

@@ -10,13 +10,16 @@ the full choice list.  Covering pairs also witness every inconsistency,
 hence no separate consistency check is needed during the search (it is
 asserted afterwards).
 
-Two facts let the search skip work without changing its results.  Whether
-a small side plus two forced sides G[X], |X| < k, cover the graph depends
-only on the side and on k, never on the earlier choices, so that test runs
-at most once per side and order.  And every edge of a separation lies
-inside one of its sides, so when a side is contained in a chosen maximal
-small side, its other side together with that member covers the graph:
-the orientation is forced, and the other side is never tried.
+In a k-tangle, two small sides with the same separator X have a small
+union: otherwise the two sides and the other side of their union cover
+the graph.  So the big sides with separator X meet in X plus exactly one
+component beta(X) of G - X, and the tangle is the choice X -> beta(X),
+the haven form of a tangle (Robertson and Seymour, Graph Minors X).  The
+search picks one component per separator, and the small side
+G[V - beta(X)] contains every other small side with separator X.  Every
+such side is an induced subgraph.  When it lies inside a chosen maximal
+small side, every other component's side covers the graph together with
+that member, so beta(X) is the only branch.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class BudgetError(GraphError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separation:
     """Unordered pair {A, B} of vertex masks with A | B = V and no edge across."""
 
@@ -120,8 +123,9 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
                   budget: int):
     """Every separation of order < max_order (the improper ones only if
     requested) as the pair of its sides ((a, ea), (b, eb)) with a <= b,
-    sorted by (order, a, b), and the order boundaries: ends[o]
-    separations have order < o.
+    sorted by (order, a, b); the order boundaries: ends[o] separations
+    have order < o; and every separator X of order < max_order that
+    leaves at least two components, as (X, components of G - X), by |X|.
 
     A separation with separator X is a choice of a bipartition of the
     components of G - X.  The edges inside side A are all edges except
@@ -141,6 +145,7 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
             "lower the order or raise the budget" % (total, budget))
     out = []
     ends = [0]
+    separators = []
     for size in range(0, top):
         bucket = []
         for combo in combinations(range(n), size):
@@ -149,6 +154,7 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
                 x |= 1 << i
             comps = _components_masks(adj, vall & ~x)
             if len(comps) >= 2:
+                separators.append((x, tuple(comps)))
                 incs = [_incident_edges(inc_e, c) for c in comps]
                 for pick in range(1 << (len(comps) - 1)):
                     a, ia = comps[0] | x, incs[0]
@@ -175,7 +181,7 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
         else:
             out += bucket
         ends.append(len(out))
-    return out, ends
+    return out, ends, separators
 
 
 def enumerate_separations(g: Multigraph, max_order: int,
@@ -189,7 +195,7 @@ def enumerate_separations(g: Multigraph, max_order: int,
     smaller max_order is a prefix of the list for a larger one.
     """
     full = g.bits().vall
-    sides, _ = _sorted_sides(g, max_order, include_improper, budget)
+    sides, _, _ = _sorted_sides(g, max_order, include_improper, budget)
     return [Separation(a, b, full) for (a, _), (b, _) in sides]
 
 
@@ -223,14 +229,16 @@ def is_tight(g: Multigraph, s: Separation) -> bool:
 # ---------------------------------------------------------------------------
 
 class SeparationUniverse:
-    """All proper separations of order < max_order with precomputed side data."""
+    """All proper separations of order < max_order with precomputed side
+    data, and their separators with the components each one leaves."""
 
-    __slots__ = ("graph", "max_order", "seps", "side_data", "_ends")
+    __slots__ = ("graph", "max_order", "seps", "side_data", "separators", "_ends")
 
     def __init__(self, g: Multigraph, max_order: int, budget: int = 5_000_000):
         self.graph = g
         self.max_order = max_order
-        self.side_data, self._ends = _sorted_sides(g, max_order, False, budget)
+        self.side_data, self._ends, self.separators = _sorted_sides(
+            g, max_order, False, budget)
         full = g.bits().vall
         self.seps = [Separation(a, b, full) for (a, _), (b, _) in self.side_data]
 
@@ -366,117 +374,114 @@ def _no_tangles_at_all(g: Multigraph, k: int) -> bool:
     return _residual_fits_sets(bits, eends, k - 1, 0, 0, 3)
 
 
-def _tangles_over_prefix(uni: SeparationUniverse, k: int, count: int):
-    """Orientations of the first `count` separations that satisfy the tangle
-    condition.
+def _dominant_component(ant, comps, vall: int) -> int:
+    """The component c whose side G[V - c] lies in a member of the
+    antichain, or 0.  Sides are induced subgraphs, so vertex containment
+    decides."""
+    for av, _ in ant:
+        for c in comps:
+            if (av | c) == vall:
+                return c
+    return 0
 
-    The triple condition quantifies over all of S_k, including the improper
-    separations (X, V) whose orientation is forced with small side X.  Three
-    kinds of checks remain after fixing the forced part: no three chosen
-    small sides cover the graph (checked on the antichain of maximal chosen
-    small sides), no two chosen ones together with some G[X] cover it
-    (the residual of their union must not fit in one X with |X| < k), and no
-    chosen one together with two G[X] covers it.  Triples of forced sides
-    alone are ruled out once, up front.
+
+def _tangles_over_prefix(uni: SeparationUniverse, k: int):
+    """The choice strings of all k-tangles, sorted.
+
+    The search picks a component beta(X) for each separator X of order < k,
+    by increasing |X|, and keeps the antichain of maximal small sides
+    G[V - beta(X)] picked so far.  The triple condition quantifies over all
+    of S_k, including the improper separations (X, V) whose orientation is
+    forced with small side X.  Three kinds of checks remain after fixing
+    the forced part: no three picked small sides cover the graph (checked
+    on the antichain), no two picked ones together with some G[X] cover it
+    (the residual of their union must not fit in one X with |X| < k), and
+    no picked one together with two G[X] covers it, which does not depend
+    on the other picks.  Triples of forced sides alone are ruled out once,
+    up front.  Separation i gets choice 0 exactly when beta of its
+    separator lies in its B side.
     """
     g = uni.graph
-    bits = g.bits()
-    vall, eall = bits.vall, bits.eall
-    eends = _edge_end_masks(g)
-    cap = k - 1
-    side_data = uni.side_data
     if _no_tangles_at_all(g, k):
         return []
-    if count == 0:
-        return [b""]
-
+    bits = g.bits()
+    vall, eall, inc_e = bits.vall, bits.eall, bits.inc_e
+    eends = _edge_end_masks(g)
+    cap = k - 1
+    separators = [s for s in uni.separators if s[0].bit_count() < k]
+    end = len(separators)
+    # per separator, the edge mask of each side G[V - beta], or None when
+    # that side plus two forced sides covers the graph; filled on first use
+    side_edges = [None] * end
+    picks = [0] * end          # the component picked at each depth
+    nexts = [0] * end          # the next component to try there, 0 on entry
+    ants = [[]] + [None] * end  # the maximal small sides (v, e) on entry
     results = []
-    choices = bytearray(count)
-    ant = []          # maximal small sides chosen so far: list of (v, e)
-    frames = [None] * count
-    sides = [0] * (count + 1)
-    # per side: 0 unknown, 1 when it plus two forced sides covers the graph,
-    # 2 when it does not
-    fits2 = bytearray(2 * count)
 
-    def try_side(i: int, side: int):
-        v, e = side_data[i][side]
-        ov, oe = side_data[i][1 - side]
-        for av, ae in ant:
-            if (v | av) == av and (e | ae) == ae:
-                return ("dominated",)
-            if (ov | av) == av and (oe | ae) == ae:
-                # this side plus that member covers the graph
-                return None
-        # one chosen small side plus two forced ones
-        slot = 2 * i + side
-        if not fits2[slot]:
-            fits2[slot] = 1 if _residual_fits_sets(bits, eends, cap, v, e, 2) else 2
-        if fits2[slot] == 1:
-            return None
+    def admissible(ant, v: int, e: int) -> bool:
         opts = ant + [(v, e)]
         for j, (vj, ej) in enumerate(opts):
             v2 = v | vj
             e2 = e | ej
-            # two chosen small sides plus one forced one
+            # two picked small sides plus one forced one
             if _residual_fits_one_set(bits, eends, cap, v2, e2):
-                return None
+                return False
             for vl, el in opts[j:]:
                 if (v2 | vl) == vall and (e2 | el) == eall:
-                    return None
-        removed = [(av, ae) for av, ae in ant if (av | v) == v and (ae | e) == e]
-        for item in removed:
-            ant.remove(item)
-        cand = (v, e)
-        ant.append(cand)
-        return ("added", removed, cand)
-
-    def undo(frame):
-        # deeper levels may have removed and re-appended our candidate, so
-        # remove it by value rather than popping the tail
-        if frame is not None and frame[0] == "added":
-            ant.remove(frame[2])
-            ant.extend(frame[1])
+                    return False
+        return True
 
     depth = 0
-    sides[0] = 0
     while depth >= 0:
-        if depth == count:
-            results.append(bytes(choices))
+        if depth == end:
+            beta = dict(zip((x for x, _ in separators), picks))
+            results.append(bytes([0 if beta[s.a_mask & s.b_mask] & s.b_mask else 1
+                                  for s in uni.seps[: uni.prefix_len(k)]]))
             depth -= 1
-            if depth >= 0:
-                undo(frames[depth])
             continue
-        s = sides[depth]
-        if s == 2:
+        ant = ants[depth]
+        comps = separators[depth][1]
+        i = nexts[depth]
+        if i == 0:
+            dominant = _dominant_component(ant, comps, vall)
+            if dominant:
+                # its side lies in a member, so it is the only branch
+                picks[depth] = dominant
+                nexts[depth] = len(comps)
+                ants[depth + 1] = ant
+                depth += 1
+                continue
+            if side_edges[depth] is None:
+                edges = [eall & ~_incident_edges(inc_e, c) for c in comps]
+                side_edges[depth] = [
+                    None if _residual_fits_sets(bits, eends, cap, vall & ~c, e, 2) else e
+                    for c, e in zip(comps, edges)]
+        while i < len(comps):
+            c, e = comps[i], side_edges[depth][i]
+            i += 1
+            v = vall & ~c
+            if e is not None and admissible(ant, v, e):
+                picks[depth] = c
+                nexts[depth] = i
+                ants[depth + 1] = [m for m in ant if (m[0] | v) != v] + [(v, e)]
+                depth += 1
+                break
+        else:
+            nexts[depth] = 0
             depth -= 1
-            if depth >= 0:
-                undo(frames[depth])
-            continue
-        sides[depth] = s + 1
-        frame = try_side(depth, s)
-        if frame is None:
-            continue
-        if frame[0] == "dominated":
-            # its other side plus the dominating member covers the graph
-            sides[depth] = 2
-        choices[depth] = s
-        frames[depth] = frame
-        sides[depth + 1] = 0
-        depth += 1
+    results.sort()
     return results
 
 
 def enumerate_tangles(g_or_universe, k: int):
-    """All k-tangles, in the deterministic order of the backtracking search."""
+    """All k-tangles, sorted by their choice strings."""
     if isinstance(g_or_universe, SeparationUniverse):
         uni = g_or_universe
         if k > uni.max_order:
             raise GraphError("universe only covers orders up to %d" % uni.max_order)
     else:
         uni = SeparationUniverse(g_or_universe, k)
-    count = uni.prefix_len(k)
-    out = [Tangle(uni, k, ch) for ch in _tangles_over_prefix(uni, k, count)]
+    out = [Tangle(uni, k, ch) for ch in _tangles_over_prefix(uni, k)]
     for t in out:
         assert_consistent(t)
     return out
@@ -653,7 +658,6 @@ class NestedSet:
     tangles: tuple
     max_tangle_order: int
     invariance_checked: Optional[bool]
-    core_filtered: bool = False
 
     @property
     def separations(self) -> tuple:
@@ -669,21 +673,17 @@ class NestedSet:
             "tangle_count": len(self.tangles),
             "separations": [self.universe.seps[i].to_json_obj(g) for i in self.indices],
             "invariance_checked": self.invariance_checked,
-            "core_filtered": self.core_filtered,
+            "core_filtered": False,  # a fixed key of the output format
         }
 
 
 def canonical_nested_set(g_or_universe, max_tangle_order: int,
                          automorphism_budget: int = 200_000,
-                         check_invariance: bool = True,
-                         core_mask: Optional[int] = None, group=None) -> NestedSet:
+                         check_invariance: bool = True, group=None) -> NestedSet:
     """Union over distinguishable tangle pairs of their efficient
     distinguishers crossing the fewest members of the distinguisher pool.
 
-    Tangles of orders 1..max_tangle_order are used.  With core_mask given
-    (truncated-ball mode) tangles whose big sides have no common vertex in
-    the core are discarded first; that filtering is a flagged heuristic
-    for ball rims and disables the automorphism-invariance assertion.
+    Tangles of orders 1..max_tangle_order are used.
 
     Asserts on the result: pairwise nestedness, efficient distinguishing
     of every distinguishable pair, tightness of every member, and (budget
@@ -701,10 +701,7 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
 
     tangles = []
     for k in range(1, max_tangle_order + 1):
-        tangles.extend(Tangle(uni, k, ch)
-                       for ch in _tangles_over_prefix(uni, k, uni.prefix_len(k)))
-    if core_mask is not None:
-        tangles = [t for t in tangles if t.home_mask() & core_mask]
+        tangles.extend(Tangle(uni, k, ch) for ch in _tangles_over_prefix(uni, k))
 
     pair_eff = {}
     pool = set()
@@ -743,11 +740,10 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
             raise GraphError("a distinguishable pair lost all its distinguishers")
 
     invariance = None
-    if check_invariance and core_mask is None:
+    if check_invariance:
         invariance = _check_invariance(g, indices, uni, automorphism_budget, group)
 
-    return NestedSet(uni, indices, tags, tuple(tangles), max_tangle_order,
-                     invariance, core_filtered=core_mask is not None)
+    return NestedSet(uni, indices, tags, tuple(tangles), max_tangle_order, invariance)
 
 
 def _apply_vertex_map_to_mask(g: Multigraph, auto, mask: int) -> int:

@@ -351,6 +351,90 @@ def test_tangle_order_matches_oracle():
         assert [t.choices for t in enumerate_tangles(uni, k)] == tangle_oracle(uni, k)
 
 
+def random_loopy_multigraph(rng, extra):
+    """Up to three cliques of 2 to 5 vertices, each glued to the earlier
+    ones at one or two vertices, plus `extra` loops and parallel edges."""
+    verts = []
+    pairs = []
+    for _ in range(rng.randrange(1, 4)):
+        glue = rng.sample(verts, rng.randrange(1, 3)) if verts else []
+        fresh = range(len(verts), len(verts) + rng.randrange(2, 6) - len(glue))
+        verts.extend(fresh)
+        pairs.extend(combinations(glue + list(fresh), 2))
+    for _ in range(extra):
+        if rng.random() < 0.5:
+            u = rng.choice(verts)
+            pairs.append((u, u))
+        else:
+            pairs.append(rng.choice(pairs))
+    return Multigraph(verts, [(f"e{i}", p) for i, p in enumerate(pairs)])
+
+
+def loopy_multigraph_cases():
+    rng = random.Random(71)
+    return [(random_loopy_multigraph(rng, rng.randrange(1, 6)), rng.randrange(1, 5))
+            for _ in range(30)]
+
+
+def components_by_search(g, pool):
+    """Components of G[pool] as vertex masks, each grown from its least
+    vertex until no neighbour in the pool is left."""
+    adj = g.bits().adj
+    comps = []
+    while pool:
+        comp = pool & -pool
+        grown = True
+        while grown:
+            reach = comp
+            for i in range(len(adj)):
+                if comp >> i & 1:
+                    reach |= adj[i] & pool
+            grown = reach != comp
+            comp = reach
+        comps.append(comp)
+        pool &= ~comp
+    return comps
+
+
+def test_oracle_tangles_pick_one_component_per_separator():
+    # the haven form: in every k-tangle, the big sides with separator X
+    # meet in X plus exactly one component of G - X
+    rng = random.Random(63)
+    cases = []
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randrange(3, 7), rng.randrange(0, 6))
+        cases.append((g, rng.randrange(1, 5)))
+    cases.extend((two_k5s(), k) for k in (2, 3, 4))
+    star = Multigraph(range(5), [(f"s{i}", (0, i)) for i in range(1, 5)])
+    cases.append((star, 2))
+    cases.extend(loopy_multigraph_cases())
+    checked = 0
+    for g, k in cases:
+        uni = SeparationUniverse(g, k)
+        vall = g.bits().vall
+        separators = {s.separator for s in uni.seps}
+        for choices in tangle_oracle(uni, k):
+            for x in separators:
+                big = vall
+                for i, s in enumerate(uni.seps):
+                    if s.separator == x:
+                        big &= uni.side_data[i][1 - choices[i]][0]
+                assert big & x == x
+                assert big & ~x in components_by_search(g, vall & ~x)
+                checked += 1
+    assert checked > 100
+
+
+def test_tangles_match_oracle_in_order_on_loopy_multigraphs():
+    cases = loopy_multigraph_cases()
+    assert any(g.is_loop(e) for g, _ in cases for e in g.edges)
+    assert any(len(g.edges_between(*g.ends[e])) > 1
+               for g, _ in cases for e in g.edges if not g.is_loop(e))
+    for g, k in cases:
+        uni = SeparationUniverse(g, k)
+        assert [t.choices for t in enumerate_tangles(uni, k)] == tangle_oracle(uni, k)
+
+
 def test_each_side_tested_once_against_two_forced_sides(monkeypatch):
     import localdec.tangles as tangles_mod
     calls = []
