@@ -269,9 +269,26 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
     gaps with new definitions; then define any still-undefined entries of
     its row in column order.  Coincidences collapse to the lower index.
     Stops with a consistent partial table once more than `coset_limit`
-    cosets have been defined in total.
+    cosets have been defined in total.  This is the one-limit case of
+    `_coset_tables`, which takes the tables of several limits from one
+    run; the row of a merged coset is released once it is copied.
     """
-    if coset_limit < 1:
+    return _coset_tables(p, (coset_limit,))[0]
+
+
+def _coset_tables(p: Presentation, limits) -> list:
+    """The tables `todd_coxeter(p, L)` returns for the increasing limits L,
+    taken from one enumeration.
+
+    At the first live coset where more than L cosets have been defined,
+    the run takes a standardized snapshot and goes on to the next limit.
+    Standardizing only resolves representatives, so the run continues
+    from the state in which the one-limit run stops.  A run that closes
+    gives its complete table for every limit not yet reached.  The row of
+    a merged coset is released once it is copied into its representative:
+    every later read resolves through `find`, which never returns it.
+    """
+    if any(limit < 1 for limit in limits):
         raise PresentationError("coset_limit must be >= 1")
     ngens = len(p.generators)
     ncols = 2 * ngens
@@ -300,6 +317,7 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
                 x, y = y, x
             rep[y] = x
             row_y = table[y]
+            table[y] = None
             row_x = table[x]
             for c in range(ncols):
                 t = row_y[c]
@@ -359,15 +377,40 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
                 return
             define(f, cols[i])
 
+    def standardize(alpha):
+        """Live rows renumbered breadth-first from the trivial coset, in
+        column order.  A partial table (alpha is not None) keeps only the
+        rows below alpha, which are fully processed: every relator scanned
+        and every entry defined.  Later rows may carry stray definitions
+        whose relator scans never ran."""
+        # coset 0 is never merged into another coset
+        index = {0: 0}
+        order = [0]
+        head = 0
+        while head < len(order):
+            row = table[order[head]]
+            head += 1
+            for t in row:
+                if t < 0:
+                    continue
+                t = find(t)
+                if t not in index and (alpha is None or t < alpha):
+                    index[t] = len(order)
+                    order.append(t)
+        return [[index.get(find(t), -1) if t >= 0 else -1 for t in table[a]]
+                for a in order]
+
+    tables = []
     alpha = 0
-    complete = True
     while alpha < len(table):
         if rep[alpha] != alpha:
             alpha += 1
             continue
-        if defined > coset_limit:
-            complete = False
-            break
+        while defined > limits[len(tables)]:
+            tables.append(CosetTable(p.generators, standardize(alpha), False,
+                                     limits[len(tables)], defined))
+            if len(tables) == len(limits):
+                return tables
         for cols in rel_cols:
             scan_and_fill(alpha, cols)
             if rep[alpha] != alpha:
@@ -380,47 +423,9 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
                 define(alpha, c)
         alpha += 1
 
-    processed = set()
-    if not complete:
-        # keep only rows that were fully processed: every relator scanned
-        # and every entry defined.  Later rows may carry stray definitions
-        # whose relator scans never ran.
-        processed = {a for a in range(len(table)) if rep[a] == a and a < alpha}
-    out_rows = []
-    order = []
-    index = {}
-    root = find(0)
-    index[root] = 0
-    order.append(root)
-    # breadth-first standardization from the trivial coset, column order
-    head = 0
-    while head < len(order):
-        a = order[head]
-        head += 1
-        for c in range(ncols):
-            t = table[a][c]
-            if t < 0:
-                continue
-            t = find(t)
-            if not complete and t not in processed and t != root:
-                continue
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    for a in order:
-        row = []
-        for c in range(ncols):
-            t = table[a][c]
-            if t >= 0:
-                t = find(t)
-                if t in index:
-                    row.append(index[t])
-                else:
-                    row.append(-1)
-            else:
-                row.append(-1)
-        out_rows.append(row)
-    return CosetTable(p.generators, out_rows, complete, coset_limit, defined)
+    rows = standardize(None)
+    return tables + [CosetTable(p.generators, rows, True, limit, defined)
+                     for limit in limits[len(tables):]]
 
 
 # ---------------------------------------------------------------------------

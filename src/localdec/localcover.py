@@ -21,9 +21,9 @@ from localdec.grouppres import (
     FiniteGroup,
     FreeWord,
     Presentation,
+    _coset_tables,
     deck_group_presentation,
     table_to_group,
-    todd_coxeter,
 )
 from localdec.multigraph import (
     GraphError,
@@ -395,7 +395,9 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     partially collapsed cover is returned with two certificates: lifts of
     a common vertex stay at distance greater than r (checked on the part
     of the ball where that is decidable), and the ball is unchanged when
-    the coset budget is doubled.
+    the coset budget is doubled.  One enumeration gives the tables at
+    `coset_limit` and at twice it, the same tables `todd_coxeter` returns
+    at each limit; a run that closes below `coset_limit` stops there.
     """
     if r < 1:
         raise CoverError("locality parameter must be >= 1")
@@ -403,7 +405,7 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
         raise CoverError("local covers need a connected base graph")
     x0 = g.vertices[0]
     pres = deck_group_presentation(g, r, x0)
-    table = todd_coxeter(pres, coset_limit)
+    table, table2 = _coset_tables(pres, (coset_limit, 2 * coset_limit))
     if table.complete:
         deck = table_to_group(table)
         tset, chord_letter = _tree_and_chords(g, x0)
@@ -418,7 +420,6 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     tc = _build_ball(g, table, x0, truncation_radius, r, pres)
     sep = verify_ball_preservation(tc, r)
     tc.certificates["lift_separation"] = (sep if sep is not UNDECIDED else None)
-    table2 = todd_coxeter(pres, 2 * coset_limit)
     if table2.complete:
         # the doubled budget settles the group; report instability so the
         # caller retries with the larger limit

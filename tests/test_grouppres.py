@@ -4,12 +4,14 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localdec.grouppres import (
     FiniteGroup,
     FreeWord,
     Presentation,
     PresentationError,
+    _coset_tables,
     abelianized_free_rank,
     deck_group_presentation,
     relator_gf2_rowspace,
@@ -323,3 +325,56 @@ def test_locality_beyond_longest_cycle_presents_trivial_group():
         p = deck_group_presentation(g, len(g.edges), 0)
         t = todd_coxeter(p, 2000)
         assert t.complete and t.n_cosets() == 1
+
+
+# ---------------------------------------------------------------------------
+# snapshots of one enumeration at increasing limits
+# ---------------------------------------------------------------------------
+
+def _table_fields(t):
+    return (t.table, t.complete, t.limit, t.defined_total)
+
+
+@st.composite
+def small_presentations(draw):
+    ngens = draw(st.integers(1, 3))
+    letter = st.integers(1, ngens).flatmap(lambda i: st.sampled_from((i, -i)))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=3))
+    return Presentation(["g%d" % i for i in range(ngens)],
+                        [FreeWord(w) for w in relators])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_presentations(), st.integers(1, 60), st.integers(1, 120))
+def test_snapshots_equal_one_limit_runs(p, low, gap):
+    # limits up to 180 cover runs that close below the lower limit, runs
+    # that close between the two and runs that stay open past both
+    high = low + gap
+    snap_low, snap_high = _coset_tables(p, (low, high))
+    assert _table_fields(snap_low) == _table_fields(todd_coxeter(p, low))
+    assert _table_fields(snap_high) == _table_fields(todd_coxeter(p, high))
+
+
+def test_snapshots_of_the_empty_presentation_are_complete():
+    p = Presentation((), ())
+    tables = _coset_tables(p, (1, 2))
+    assert [_table_fields(t) for t in tables] == [([[]], True, 1, 1), ([[]], True, 2, 1)]
+
+
+def test_snapshots_taken_at_one_coset_keep_their_own_limits():
+    # one coset's row definitions carry the count past both limits at once
+    p = Presentation(("a", "b", "c"), ())
+    low, high = _coset_tables(p, (1, 2))
+    assert not low.complete and not high.complete
+    assert (low.limit, high.limit) == (1, 2)
+    assert low.table == high.table == todd_coxeter(p, 1).table
+    assert low.defined_total == high.defined_total == todd_coxeter(p, 2).defined_total
+
+
+def test_coset_limit_below_one_is_refused():
+    p = Presentation(("a",), (FreeWord((1, 1)),))
+    for limit in (0, -3):
+        with pytest.raises(PresentationError):
+            todd_coxeter(p, limit)
+        with pytest.raises(PresentationError):
+            _coset_tables(p, (limit, 2 * limit))

@@ -8,6 +8,7 @@ from localdec.grouppres import (
     FiniteGroup,
     FreeWord,
     Presentation,
+    PresentationError,
     deck_group_presentation,
     todd_coxeter,
     table_to_group,
@@ -93,6 +94,15 @@ def c6_double_cover():
     return Covering(g, z2, VoltageAssignment(z2, values), 0)
 
 
+def cube_graph(d, fold=False):
+    """The d-cube on the d-bit words; with fold, the (d+1)-cube with
+    antipodal vertices identified: word v also meets v ^ (2^d - 1)."""
+    masks = [1 << i for i in range(d)] + ([(1 << d) - 1] if fold else [])
+    return Multigraph(range(1 << d), [
+        (f"e{v}_{v ^ m}", (v, v ^ m))
+        for v in range(1 << d) for m in masks if v < v ^ m])
+
+
 # ---------------------------------------------------------------------------
 # finite local covers
 # ---------------------------------------------------------------------------
@@ -127,6 +137,27 @@ def test_five_cycle_r4_truncated_double_ray_segment():
     assert cov.certified
     assert cov.certificates["lift_separation"] is True
     assert cov.certificates["radius_stable"] is True
+
+
+def test_enumeration_closing_between_the_limit_and_its_double():
+    # the folded 5-cube (the Clebsch graph) has only 4-cycles that lift
+    # closed to the 5-cube, which the 4-cycles of the 5-cube span: its
+    # 4-local cover is the 5-cube over Z/2, and the enumeration defines 17
+    # cosets in all, so it is open at limit 10 and closes by limit 20
+    g = cube_graph(4, fold=True)
+    tc = local_cover(g, 4, coset_limit=10)
+    assert isinstance(tc, TruncatedCover)
+    assert tc.certificates["radius_stable"] is False
+    assert tc.certificates["completes_with_larger_budget"] is True
+    assert not tc.certified
+    cov = local_cover(g, 4, coset_limit=20)
+    assert isinstance(cov, Covering) and cov.sheets() == 2
+    assert isomorphic(cov.cover, cube_graph(5)) is not None
+
+
+def test_coset_limit_below_one_is_refused():
+    with pytest.raises(PresentationError):
+        local_cover(cycle_graph(5), 4, coset_limit=0)
 
 
 def test_rejects_bad_locality_and_disconnected():
