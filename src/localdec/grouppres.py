@@ -271,25 +271,30 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
     Stops with a consistent partial table once more than `coset_limit`
     cosets have been defined in total.  This is the one-limit case of
     `_coset_tables`, which takes the tables of several limits from one
-    run; the row of a merged coset is released once it is copied.
+    run; once a coincidence is processed no live row names a dead coset.
     """
     return _coset_tables(p, (coset_limit,))[0]
 
 
 def _coset_tables(p: Presentation, limits) -> list:
-    """The tables `todd_coxeter(p, L)` returns for the increasing limits L,
-    taken from one enumeration.
+    """The tables `todd_coxeter(p, L)` returns for the non-decreasing
+    limits L, taken from one enumeration.
 
     At the first live coset where more than L cosets have been defined,
     the run takes a standardized snapshot and goes on to the next limit.
-    Standardizing only resolves representatives, so the run continues
-    from the state in which the one-limit run stops.  A run that closes
-    gives its complete table for every limit not yet reached.  The row of
-    a merged coset is released once it is copied into its representative:
-    every later read resolves through `find`, which never returns it.
+    Standardizing only renumbers live rows, so the run continues from the
+    state in which the one-limit run stops.  A run that closes gives its
+    complete table for every limit not yet reached.  Each coincidence
+    clears every reference to the cosets it kills and releases their
+    rows, so once it returns no live row names a dead coset: the scans
+    and the snapshots read entries directly, and the union-find `find`
+    serves the coincidence alone.  The table modulo `find` does not
+    depend on the order in which dead rows are processed.
     """
     if any(limit < 1 for limit in limits):
         raise PresentationError("coset_limit must be >= 1")
+    if any(b < a for a, b in zip(limits, limits[1:])):
+        raise PresentationError("coset limits must not decrease")
     ngens = len(p.generators)
     ncols = 2 * ngens
     rel_cols = [_letters_to_cols(w) for w in p.relators if len(w) > 0]
@@ -304,35 +309,39 @@ def _coset_tables(p: Presentation, limits) -> list:
             a = rep[a]
         return a
 
-    pending = []
+    dead = []   # merged cosets whose rows are not yet processed
 
-    def merge(a, b):
-        pending.append((a, b))
-        while pending:
-            x, y = pending.pop()
-            x, y = find(x), find(y)
-            if x == y:
-                continue
+    def union(x, y):
+        x, y = find(x), find(y)
+        if x != y:
             if y < x:
                 x, y = y, x
             rep[y] = x
+            dead.append(y)
+
+    def merge(a, b):
+        """COINCIDENCE of Holt, Eick & O'Brien (2005), section 5.1: the
+        larger representative dies, and each dead row, taken in turn, has
+        its entries' back entries cleared and its entries moved to the live
+        representatives, queueing the coincidences this forces."""
+        union(a, b)
+        for y in dead:
             row_y = table[y]
-            table[y] = None
-            row_x = table[x]
             for c in range(ncols):
-                t = row_y[c]
-                if t < 0:
+                d = row_y[c]
+                if d < 0:
                     continue
-                cur = row_x[c]
-                if cur < 0:
-                    row_x[c] = t
-                    tt = find(t)
-                    back = table[tt][c ^ 1]
-                    if back >= 0 and find(back) != x:
-                        pending.append((back, x))
-                    table[tt][c ^ 1] = x
+                table[d][c ^ 1] = -1
+                mu, nu = find(y), find(d)
+                if table[mu][c] >= 0:
+                    union(nu, table[mu][c])
+                elif table[nu][c ^ 1] >= 0:
+                    union(mu, table[nu][c ^ 1])
                 else:
-                    pending.append((cur, t))
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+            table[y] = None
+        dead.clear()
 
     def define(a, c):
         nonlocal defined
@@ -345,16 +354,15 @@ def _coset_tables(p: Presentation, limits) -> list:
         return b
 
     def scan_and_fill(a, cols):
+        n = len(cols)
         while True:
-            a = find(a)
             f = a
             i = 0
-            n = len(cols)
             while i < n:
                 t = table[f][cols[i]]
                 if t < 0:
                     break
-                f = find(t)
+                f = t
                 i += 1
             if i == n:
                 if f != a:
@@ -366,7 +374,7 @@ def _coset_tables(p: Presentation, limits) -> list:
                 t = table[b][cols[j] ^ 1]
                 if t < 0:
                     break
-                b = find(t)
+                b = t
                 j -= 1
             if j < i:
                 merge(f, b)
@@ -391,14 +399,10 @@ def _coset_tables(p: Presentation, limits) -> list:
             row = table[order[head]]
             head += 1
             for t in row:
-                if t < 0:
-                    continue
-                t = find(t)
-                if t not in index and (alpha is None or t < alpha):
+                if t >= 0 and t not in index and (alpha is None or t < alpha):
                     index[t] = len(order)
                     order.append(t)
-        return [[index.get(find(t), -1) if t >= 0 else -1 for t in table[a]]
-                for a in order]
+        return [[index.get(t, -1) for t in table[a]] for a in order]
 
     tables = []
     alpha = 0

@@ -1,5 +1,6 @@
 """Tests for free words, presentations and coset enumeration."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -33,6 +34,7 @@ from localdec.multigraph import (
     spanning_tree,
 )
 
+from test_graphdec import necklace
 from test_multigraph import (
     complete_graph,
     cycle_graph,
@@ -378,3 +380,117 @@ def test_coset_limit_below_one_is_refused():
             todd_coxeter(p, limit)
         with pytest.raises(PresentationError):
             _coset_tables(p, (limit, 2 * limit))
+
+
+def test_decreasing_coset_limits_are_refused():
+    # a later limit below an earlier one would be snapshot past its own
+    # limit; equal limits give the same table twice
+    p = deck_group_presentation(necklace(4), 3, "g0")
+    with pytest.raises(PresentationError):
+        _coset_tables(p, (200, 100))
+    low, high = _coset_tables(p, (100, 100))
+    assert _table_fields(low) == _table_fields(high) == _table_fields(todd_coxeter(p, 100))
+
+
+def _entries_pair_up(t):
+    return all(t.table[b][c ^ 1] == a
+               for a, row in enumerate(t.table)
+               for c, b in enumerate(row) if b >= 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_presentations(), st.integers(1, 60), st.integers(0, 120))
+def test_snapshot_entries_pair_up(p, low, gap):
+    assert all(_entries_pair_up(t) for t in _coset_tables(p, (low, low + gap)))
+
+
+def test_necklace_snapshot_entries_pair_up():
+    for n in (4, 6):
+        p = deck_group_presentation(necklace(n), 3, "g0")
+        assert all(_entries_pair_up(t) for t in _coset_tables(p, (3000, 6000)))
+
+
+def _pinned_cases():
+    """Necklace deck groups, deck groups of seeded random graphs and
+    seeded random presentations, with the limits of their snapshots."""
+    for n in (4, 6):
+        p = deck_group_presentation(necklace(n), 3, "g0")
+        for limits in ((3000, 6000), (20000, 40000)):
+            yield "necklace%d-%d" % (n, limits[0]), p, limits
+    rng = random.Random(1)
+    for i in range(10):
+        g = random_connected_graph(rng, rng.randrange(5, 12), rng.randrange(2, 6))
+        yield "graph%d" % i, deck_group_presentation(g, 3 + i % 2, 0), (20, 200)
+    rng = random.Random(2)
+    for i in range(10):
+        ngens = rng.randrange(2, 4)
+        words = [[rng.choice((1, -1)) * rng.randrange(1, ngens + 1)
+                  for _ in range(rng.randrange(2, 9))]
+                 for _ in range(rng.randrange(2, 4))]
+        p = Presentation(["g%d" % j for j in range(ngens)], [FreeWord(w) for w in words])
+        yield "words%d" % i, p, (20, 200)
+
+
+# sha256 of repr((table, complete, limit, defined_total)) of both snapshots
+PINNED_TABLE_HASHES = {
+    "necklace4-3000": ("017f6d12152b93e9ffccaae27c4d39136024ef0d74e6724136fbd24b47a891db",
+                      "740a332d617fe0891f88a94a1ddcf6f0673275eb3c827bc335f05a3c4d7354a1"),
+    "necklace4-20000": ("e268635ebf97905f654d51df41d3b2fe9b167a0b17b41c4c16bdd0761ad489d8",
+                       "f8fe996f4212c39ce27761e5ac77a7b4701b56b840cd16e53f09614229a91bf8"),
+    "necklace6-3000": ("1e30409ae5a3ba55e9449388b50b021b516ecb9568466bd86067bb3102af34b6",
+                      "fe16129f8129c328f3e9571c4cd63c81e359f49d0bf4ce1b9a89184b9d485403"),
+    "necklace6-20000": ("f495a08d7e346636db630002229f032ece54e97cf4d76aba66a81f7dafd8f972",
+                       "5e3a4727a64dd71e4ef76bcb05afa7930acca788c5d421baa0feb62e37a0313a"),
+    "graph0": ("8332e30195adef5675378ec0f411b20c399866ddc0d56dcc6605e96aa2251dbf",
+              "e30cc730d174a0a1c22f73b64c22e6ac213f58ff96224d26f0ef3b3c9f8617de"),
+    "graph1": ("ea006f0b66aa43d05416375ab98434768ad001a17c3a8fe3f902e1a136fcd651",
+              "2968d524af36c9e9c44139566a3043085c411b5485df226a46997bcbeea1f96a"),
+    "graph2": ("b5f0b8fedce9ac3e33133e2243b933d2f548591d16c95d6a62a33ca45626e748",
+              "1f91fe72b930a2111c903b2573cea0063226011c5b7af7a078eb37047a6b900b"),
+    "graph3": ("cc54609c68a36afaabb74b13397b22923932007595d9154fc2800b7d37f6df90",
+              "397fedee9119d8eab0b2974bb2e1ac4b50a8917c42d033aeb49360e8ed7028da"),
+    "graph4": ("b6de99acd210661db9e0127c5a76ba4b9c123becb530fcdb5bb7594d7423ca1f",
+              "0e28babd7e65a72eee2fb116fc25a44832fd2ba04ce806221e007c67ba27ff68"),
+    "graph5": ("ea006f0b66aa43d05416375ab98434768ad001a17c3a8fe3f902e1a136fcd651",
+              "2968d524af36c9e9c44139566a3043085c411b5485df226a46997bcbeea1f96a"),
+    "graph6": ("b5f0b8fedce9ac3e33133e2243b933d2f548591d16c95d6a62a33ca45626e748",
+              "1f91fe72b930a2111c903b2573cea0063226011c5b7af7a078eb37047a6b900b"),
+    "graph7": ("8a9b53da700720e91acda4d305160f960babdebf35c685887930707ab196f4d2",
+              "eb1f316b5514bd6019c6149f059c19f4eb4bfc06d43da915f86b2262544e984e"),
+    "graph8": ("ea006f0b66aa43d05416375ab98434768ad001a17c3a8fe3f902e1a136fcd651",
+              "2968d524af36c9e9c44139566a3043085c411b5485df226a46997bcbeea1f96a"),
+    "graph9": ("b5f0b8fedce9ac3e33133e2243b933d2f548591d16c95d6a62a33ca45626e748",
+              "1f91fe72b930a2111c903b2573cea0063226011c5b7af7a078eb37047a6b900b"),
+    "words0": ("66eb77cd85712c8c01b5e2a50c4b3b235eb554b52ff3e664b9a31833f0e52993",
+              "f783e6ee425f9a894034e1176b234114395b0687d62e84af97fde9a66f04034c"),
+    "words1": ("ed22cc1e7d07ce692c253f44a77fa8fd9a54eed3e0571415e742b6b86ac3fbb1",
+              "e611a19dfb31e3de052f5aace1ffb52bf84e123768ec18e81116bb54c34a5573"),
+    "words2": ("e000c84924066b28555be7d2e284f5f93e3f94c4c0be7a95221b6233fc120b37",
+              "1213d8e87620a553bde33d7791ec609ef3128270b447103ac732b9eb2bd3e78a"),
+    "words3": ("9fb25e5253063b9fc316d4de89b051a3ec92ea1adee1318a2b66c437e9ee85c4",
+              "c84d3ec76dadd297471c09db029590235ce048c8cf8dff35dbb4ac767df8dcfd"),
+    "words4": ("f1555e35e346282457d7dc635200f92ef82682a2df0014fd77a2c3a2a8c64819",
+              "db70113cf9ad8500c9dbd0958cd9f88e20449cb2a359c7d45be0fab5efbee784"),
+    "words5": ("f7c4ae8e831e6516b7fb9ef00bf2375af999f8eeef83a8e48b67a89052deac12",
+              "8ec437e62bfc95047b2d096abd1bcf959d559adf7408ee8e3126fb379f6f2de1"),
+    "words6": ("4de0a56f811fdfb3624a5306886720a40defbcd400e7214d91b59441150be7a9",
+              "2e6b465811d9f1bc810eaa3382135f1f2e792c5ed374106076ca55e1b50f49b6"),
+    "words7": ("6ffefd839273273ec16a881877e8164822fdf2adf82354034ef7570718af8afe",
+              "fb3fc9d548713b29eded18a45f7ef23f1cc30c2329bc216ca489ccffec3699dd"),
+    "words8": ("3f1111e202882a0f12656c0342a97ae1e9ec03302dc191c713f5dec9967fe345",
+              "329fac2f77095a405cd25e8328775c3e58c9b4209151e27dadf837cb29a368d7"),
+    "words9": ("5f4c584afe71c71956762f94a2504ab9724cc360c6df30e516964244878e265c",
+              "332b38dae8ec901d28a878d7ff78d52ab4b0861b996f6e61b7d7c735037d3049"),
+}
+
+
+def test_pinned_coset_tables():
+    # hashes recorded from an earlier implementation of the coincidence
+    # step (lazy union-find reads), so that a rewrite of the enumeration is
+    # refereed by something other than itself
+    got = {}
+    for name, p, limits in _pinned_cases():
+        got[name] = tuple(
+            hashlib.sha256(repr(_table_fields(t)).encode()).hexdigest()
+            for t in _coset_tables(p, limits))
+    assert got == PINNED_TABLE_HASHES
