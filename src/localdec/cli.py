@@ -25,7 +25,6 @@ from localdec.grouppres import (
 )
 from localdec.localcover import (
     Covering,
-    CoverError,
     GeneralCover,
     LabelledGraph,
     TruncatedCover,
@@ -364,8 +363,7 @@ def main(argv=None) -> int:
     try:
         cfg.validate()
         return _DISPATCH[cfg.command](cfg)
-    except (GraphError, CoverError, OSError, json.JSONDecodeError, KeyError,
-            TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT_ERROR
 

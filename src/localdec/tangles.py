@@ -1,14 +1,16 @@
 """Separations, tangles, k-blocks and the canonical nested separation set.
 
 Vertex sets are bitmasks over the canonical vertex order of the host
-graph.  A side of a separation carries two masks: its vertices and the
-edges spanned inside it; the tangle condition (no three chosen small
-sides cover the graph) is checked on unions of those masks.  Only the
-maximal chosen small sides can matter for such unions, so the
-backtracking search keeps an antichain of maximal small sides instead of
-the full choice list.  Covering pairs also witness every inconsistency,
-hence no separate consistency check is needed during the search (it is
-asserted afterwards).
+graph.  A side of a separation is the subgraph induced on its vertex
+mask, so the vertex mask is the only stored form of a side; its edge mask
+(`Multigraph.edge_mask_within`) is computed only where a cover test reads
+it.  The tangle condition (no three chosen small sides cover the graph)
+is checked on unions of those masks.  Only the maximal chosen small sides
+can matter for such unions, so the backtracking search keeps an
+antichain of maximal small sides instead of the full choice list.
+Covering pairs also witness every inconsistency, hence no separate
+consistency check is needed during the search (it is asserted
+afterwards).
 
 In a k-tangle, two small sides with the same separator X have a small
 union: otherwise the two sides and the other side of their union cover
@@ -109,33 +111,19 @@ def _components_masks(adj, pool: int):
     return comps
 
 
-def _incident_edges(inc_e, mask: int) -> int:
-    """Mask of the edges with an end in the vertex mask `mask`."""
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= inc_e[b.bit_length() - 1]
-        mask ^= b
-    return out
-
-
 def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
                   budget: int):
     """Every separation of order < max_order (the improper ones only if
-    requested) as the pair of its sides ((a, ea), (b, eb)) with a <= b,
+    requested) as the pair (a, b) of its side vertex masks with a <= b,
     sorted by (order, a, b); the order boundaries: ends[o] separations
     have order < o; and every separator X of order < max_order that
     leaves at least two components, as (X, components of G - X), by |X|.
 
     A separation with separator X is a choice of a bipartition of the
-    components of G - X.  The edges inside side A are all edges except
-    those at the components that lie on the B side, so one incident-edge
-    mask per component gives the edge masks of every bipartition.  The
-    edge mask of a side is fixed by its vertex mask, so sorting the pairs
-    of one order sorts them by (a, b).
+    components of G - X, each side being X plus its components.
     """
     bits = g.bits()
-    vall, eall, adj, inc_e = bits.vall, bits.eall, bits.adj, bits.inc_e
+    vall, adj = bits.vall, bits.adj
     n = len(g.vertices)
     top = min(max_order, n + 1)
     total = sum(comb(n, size) for size in range(0, top))
@@ -155,24 +143,18 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
             comps = _components_masks(adj, vall & ~x)
             if len(comps) >= 2:
                 separators.append((x, tuple(comps)))
-                incs = [_incident_edges(inc_e, c) for c in comps]
                 for pick in range(1 << (len(comps) - 1)):
-                    a, ia = comps[0] | x, incs[0]
-                    b, ib = x, 0
+                    a, b = comps[0] | x, x
                     for j in range(1, len(comps)):
                         if pick >> (j - 1) & 1:
                             a |= comps[j]
-                            ia |= incs[j]
                         else:
                             b |= comps[j]
-                            ib |= incs[j]
                     if b == x and not include_improper:
                         continue
-                    sa, sb = (a, eall & ~ib), (b, eall & ~ia)
-                    bucket.append((sa, sb) if a <= b else (sb, sa))
+                    bucket.append((a, b) if a <= b else (b, a))
             elif include_improper:
-                sx = (x, eall & ~_incident_edges(inc_e, vall & ~x))
-                bucket.append((sx, (vall, eall)))
+                bucket.append((x, vall))
         bucket.sort()
         # copy the shorter list into the longer one, to keep the peak low
         if len(bucket) > len(out):
@@ -196,7 +178,7 @@ def enumerate_separations(g: Multigraph, max_order: int,
     """
     full = g.bits().vall
     sides, _, _ = _sorted_sides(g, max_order, include_improper, budget)
-    return [Separation(a, b, full) for (a, _), (b, _) in sides]
+    return [Separation(a, b, full) for a, b in sides]
 
 
 def is_tight(g: Multigraph, s: Separation) -> bool:
@@ -229,18 +211,28 @@ def is_tight(g: Multigraph, s: Separation) -> bool:
 # ---------------------------------------------------------------------------
 
 class SeparationUniverse:
-    """All proper separations of order < max_order with precomputed side
-    data, and their separators with the components each one leaves."""
+    """All proper separations of order < max_order, and their separators
+    with the components each one leaves."""
 
-    __slots__ = ("graph", "max_order", "seps", "side_data", "separators", "_ends")
+    __slots__ = ("graph", "max_order", "seps", "separators", "_ends", "_side_data")
 
     def __init__(self, g: Multigraph, max_order: int, budget: int = 5_000_000):
         self.graph = g
         self.max_order = max_order
-        self.side_data, self._ends, self.separators = _sorted_sides(
-            g, max_order, False, budget)
+        sides, self._ends, self.separators = _sorted_sides(g, max_order, False, budget)
         full = g.bits().vall
-        self.seps = [Separation(a, b, full) for (a, _), (b, _) in self.side_data]
+        self.seps = [Separation(a, b, full) for a, b in sides]
+        self._side_data = None
+
+    @property
+    def side_data(self) -> list:
+        """Per separation, ((a, edges in a), (b, edges in b)); built on the
+        first read and kept.  Nothing in the library reads it."""
+        if self._side_data is None:
+            within = self.graph.edge_mask_within
+            self._side_data = [((s.a_mask, within(s.a_mask)), (s.b_mask, within(s.b_mask)))
+                               for s in self.seps]
+        return self._side_data
 
     def prefix_len(self, k: int) -> int:
         """Number of separations of order < k (a prefix of the sorted list)."""
@@ -268,12 +260,6 @@ class Tangle:
     def __hash__(self):
         return hash((id(self.universe), self.order, self.choices))
 
-    def small_mask(self, i: int) -> tuple:
-        return self.universe.side_data[i][self.choices[i]]
-
-    def big_mask(self, i: int) -> tuple:
-        return self.universe.side_data[i][1 - self.choices[i]]
-
     def restriction(self, k: int) -> "Tangle":
         if k > self.order:
             raise GraphError("cannot restrict to a larger order")
@@ -282,8 +268,8 @@ class Tangle:
     def home_mask(self) -> int:
         """Intersection of all big sides (may be empty)."""
         m = self.universe.graph.bits().vall
-        for i in range(len(self.choices)):
-            m &= self.big_mask(i)[0]
+        for s, c in zip(self.universe.seps, self.choices):
+            m &= s.oriented(c)[1]
         return m
 
     def to_json_obj(self) -> dict:
@@ -405,7 +391,7 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
     if _no_tangles_at_all(g, k):
         return []
     bits = g.bits()
-    vall, eall, inc_e = bits.vall, bits.eall, bits.inc_e
+    vall, eall = bits.vall, bits.eall
     eends = _edge_end_masks(g)
     cap = k - 1
     separators = [s for s in uni.separators if s[0].bit_count() < k]
@@ -452,7 +438,7 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
                 depth += 1
                 continue
             if side_edges[depth] is None:
-                edges = [eall & ~_incident_edges(inc_e, c) for c in comps]
+                edges = [g.edge_mask_within(vall & ~c) for c in comps]
                 side_edges[depth] = [
                     None if _residual_fits_sets(bits, eends, cap, vall & ~c, e, 2) else e
                     for c, e in zip(comps, edges)]
@@ -473,14 +459,19 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
     return results
 
 
+def _universe(g_or_universe, k: int) -> SeparationUniverse:
+    """The given universe, refused unless it holds every separation of
+    order < k, or a fresh universe of order k over the given graph."""
+    if not isinstance(g_or_universe, SeparationUniverse):
+        return SeparationUniverse(g_or_universe, k)
+    if k > g_or_universe.max_order:
+        raise GraphError("universe only covers orders up to %d" % g_or_universe.max_order)
+    return g_or_universe
+
+
 def enumerate_tangles(g_or_universe, k: int):
     """All k-tangles, sorted by their choice strings."""
-    if isinstance(g_or_universe, SeparationUniverse):
-        uni = g_or_universe
-        if k > uni.max_order:
-            raise GraphError("universe only covers orders up to %d" % uni.max_order)
-    else:
-        uni = SeparationUniverse(g_or_universe, k)
+    uni = _universe(g_or_universe, k)
     out = [Tangle(uni, k, ch) for ch in _tangles_over_prefix(uni, k)]
     for t in out:
         assert_consistent(t)
@@ -489,15 +480,17 @@ def enumerate_tangles(g_or_universe, k: int):
 
 def _maximal_small_sides(t: Tangle) -> list:
     """The (vertex, edge) masks of the small sides of t that lie in no
-    other small side."""
+    other small side.  Sides are induced subgraphs, so vertex containment
+    decides, and only the maxima need their edge masks."""
     maxima = []
-    for i in range(len(t.choices)):
-        v, e = t.small_mask(i)
-        if any((v | av) == av and (e | ae) == ae for av, ae in maxima):
+    for s, c in zip(t.universe.seps, t.choices):
+        v = s.oriented(c)[0]
+        if any((v | av) == av for av in maxima):
             continue
-        maxima = [(av, ae) for av, ae in maxima if not ((av | v) == v and (ae | e) == e)]
-        maxima.append((v, e))
-    return maxima
+        maxima = [av for av in maxima if (av | v) != v]
+        maxima.append(v)
+    within = t.universe.graph.edge_mask_within
+    return [(v, within(v)) for v in maxima]
 
 
 def assert_consistent(t: Tangle) -> None:
@@ -555,10 +548,7 @@ def block_tangle(g_or_universe, block, k: int) -> Tangle:
     Blocks of size at most 3(k-1)/2 are refused: only above that threshold
     is the orientation guaranteed to be a tangle.
     """
-    if isinstance(g_or_universe, SeparationUniverse):
-        uni = g_or_universe
-    else:
-        uni = SeparationUniverse(g_or_universe, k)
+    uni = _universe(g_or_universe, k)
     g = uni.graph
     x = g.vertex_mask(block)
     if 2 * x.bit_count() <= 3 * (k - 1):
@@ -620,10 +610,7 @@ def distinguishers(t1: Tangle, t2: Tangle):
     uni = t1.universe
     common = min(len(t1.choices), len(t2.choices))
     alldiff = [i for i in range(common) if t1.choices[i] != t2.choices[i]]
-    if not alldiff:
-        return [], []
-    min_order = min(uni.seps[i].order for i in alldiff)
-    eff = [i for i in alldiff if uni.seps[i].order == min_order]
+    eff = _efficient_distinguisher_indices(uni, t1, t2)
     return ([uni.seps[i] for i in alldiff], [uni.seps[i] for i in eff])
 
 
@@ -691,12 +678,7 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
     already has that group passes it as `group`, in the form
     `multigraph.automorphism_group` returns, and the check uses it.
     """
-    if isinstance(g_or_universe, SeparationUniverse):
-        uni = g_or_universe
-        if max_tangle_order > uni.max_order:
-            raise GraphError("universe too small for requested tangle order")
-    else:
-        uni = SeparationUniverse(g_or_universe, max_tangle_order)
+    uni = _universe(g_or_universe, max_tangle_order)
     g = uni.graph
 
     tangles = []

@@ -11,6 +11,9 @@ from localdec.tangles import (
     Separation,
     SeparationUniverse,
     Tangle,
+    _assert_triple_condition,
+    _maximal_small_sides,
+    assert_consistent,
     block_tangle,
     canonical_nested_set,
     crossing,
@@ -546,6 +549,91 @@ def test_big_blocks_always_give_tangles():
                 if 2 * len(b) > 3 * (k - 1):
                     t = block_tangle(g, b, k)
                     assert t.order == k
+
+
+def test_block_tangle_refuses_a_too_small_universe():
+    # S_4 of two glued K5s has 37 separations; a universe of order 2 holds
+    # only the cut, so it cannot carry an orientation of S_4
+    g = two_k5s()
+    block = enumerate_blocks(g, 4)[0]
+    assert SeparationUniverse(g, 4).prefix_len(4) == 37
+    with pytest.raises(GraphError, match="universe only covers orders up to 2"):
+        block_tangle(SeparationUniverse(g, 2), block, 4)
+    with pytest.raises(GraphError, match="universe only covers orders up to 2"):
+        canonical_nested_set(SeparationUniverse(g, 2), 3)
+    assert block_tangle(SeparationUniverse(g, 4), block, 4).order == 4
+
+
+# ---------------------------------------------------------------------------
+# the checks on a finished tangle
+# ---------------------------------------------------------------------------
+
+def orientation(g, k, smalls):
+    """The candidate k-tangle whose small sides are the vertex sets listed
+    in `smalls`, one for each separation of order < k."""
+    uni = SeparationUniverse(g, k)
+    masks = {g.vertex_mask(side) for side in smalls}
+    seps = uni.seps[: uni.prefix_len(k)]
+    choices = bytes(0 if s.a_mask in masks else 1 for s in seps)
+    assert {s.oriented(c)[0] for s, c in zip(seps, choices)} == masks
+    return Tangle(uni, k, choices)
+
+
+def test_checks_on_finished_tangles_name_the_cover():
+    # every graph has a loop or a parallel edge, and in each case some
+    # small sides cover all vertices but not all edges
+    star = Multigraph(range(4), [("a", (0, 1)), ("a2", (0, 1)), ("b", (0, 2)),
+                                 ("c", (0, 3)), ("loop", (2, 2))])
+    # the three leaf edges: two of them plus the third leaf cover V but
+    # not the third edge, so only the triple covers
+    t = orientation(star, 2, [(0, 1), (0, 2), (0, 3)])
+    assert_consistent(t)
+    with pytest.raises(GraphError, match="^three small sides cover the graph$"):
+        _assert_triple_condition(t)
+    t = orientation(star, 2, [(0, 1), (0, 1, 2), (0, 1, 3)])
+    with pytest.raises(GraphError, match="^tangle is inconsistent: two small sides"):
+        assert_consistent(t)
+
+    # the 4-cycle 0-1-3-2 with a triangle 0-1-4 on its edge 01: the two
+    # maximal small sides cover V, and the doubled edge 13 they miss is a
+    # forced side at order 3
+    c4_triangle = Multigraph(range(5), [
+        ("a", (0, 1)), ("b", (0, 2)), ("c", (1, 3)), ("c2", (1, 3)),
+        ("d", (2, 3)), ("e", (0, 4)), ("f", (1, 4)), ("loop", (3, 3))])
+    t = orientation(c4_triangle, 3, [(0, 2, 3), (0, 1, 2, 4), (0, 1, 4)])
+    assert len(_maximal_small_sides(t)) == 2
+    assert_consistent(t)
+    with pytest.raises(GraphError, match="^two small sides plus a forced side"):
+        _assert_triple_condition(t)
+
+    # the 4-cycle 0-1-2-3 at order 3: the two small sides cover V but miss
+    # the edge 23, and each one plus the two edges at its missing vertex
+    # covers the graph
+    c4 = Multigraph(range(4), [("a", (0, 1)), ("a2", (0, 1)), ("b", (1, 2)),
+                               ("c", (2, 3)), ("d", (3, 0)), ("loop", (1, 1))])
+    t = orientation(c4, 3, [(0, 1, 2), (0, 1, 3)])
+    assert_consistent(t)
+    with pytest.raises(GraphError, match="^a small side plus two forced sides"):
+        _assert_triple_condition(t)
+
+    # a path of two edges, one doubled, one end looped: its two edges are
+    # forced sides at order 3 and cover it
+    p3 = Multigraph(range(3), [("a", (0, 1)), ("a2", (0, 1)), ("b", (1, 2)),
+                               ("loop", (2, 2))])
+    t = orientation(p3, 3, [(0, 1)])
+    with pytest.raises(GraphError, match="^three forced small sides cover the graph$"):
+        _assert_triple_condition(t)
+
+
+def test_maximal_small_sides_match_the_side_data_oracle():
+    checked = 0
+    for g, k in loopy_multigraph_cases():
+        uni = SeparationUniverse(g, k)
+        for t in enumerate_tangles(uni, k):
+            smalls = [uni.side_data[i][c] for i, c in enumerate(t.choices)]
+            assert set(_maximal_small_sides(t)) == set(maximal_small_sides(smalls))
+            checked += 1
+    assert checked > 10
 
 
 # ---------------------------------------------------------------------------
