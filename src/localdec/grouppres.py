@@ -20,8 +20,6 @@ from localdec.multigraph import (
     check_walk,
     enumerate_short_cycles,
     spanning_tree,
-    tree_path_walk,
-    _tree_parents,
 )
 
 
@@ -156,58 +154,63 @@ def relator_gf2_rowspace(p: Presentation) -> tuple:
 # walks to words
 # ---------------------------------------------------------------------------
 
+def _chord_letters(g: Multigraph, tree) -> dict:
+    """Chord number i of the tree, in canonical edge order, mapped to its
+    letter for crossing it from its stored tail: +(i+1) when the tail is
+    the lower endpoint in vertex order or the chord is a loop, -(i+1) when
+    the tail is the higher endpoint.  Crossing from the head gives the
+    inverse letter.  Every chord letter and sign is decided here."""
+    tset = set(tree)
+    letters = {}
+    for e in g.edges:
+        if e in tset:
+            continue
+        u, v = g.ends[e]
+        i = len(letters) + 1
+        letters[e] = -i if g.vpos(v) < g.vpos(u) else i
+    return letters
+
+
+def _walk_letters(g: Multigraph, chord_letter: dict, w: Walk) -> list:
+    letters = []
+    for i, e in enumerate(w.edges):
+        letter = chord_letter.get(e)
+        if letter is not None:
+            letters.append(letter if w.vertices[i] == g.ends[e][0] else -letter)
+    return letters
+
+
 def walk_to_word(g: Multigraph, tree, x0, w: Walk) -> FreeWord:
     """Image of a closed walk at x0 under the chord homomorphism.
 
     Tree edges contribute nothing; traversal of chord number i contributes
-    +(i+1) when the chord is crossed from its lower endpoint and -(i+1)
-    otherwise.  A chord that is a loop always contributes the positive
-    letter: a combinatorial walk cannot tell the two directions of a loop
-    apart (its letter only matters when the loop is not a relator anyway).
+    +(i+1) when the chord is crossed from its lower endpoint in vertex
+    order and -(i+1) otherwise, however its ends are listed.  A chord that
+    is a loop always contributes the positive letter: a combinatorial walk
+    cannot tell the two directions of a loop apart (its letter only matters
+    when the loop is not a relator anyway).
     """
     check_walk(g, w)
     if not w.is_closed() or w.start != x0:
         raise GraphError("walk_to_word needs a closed walk at the base vertex")
-    tset = set(tree)
-    chords = [e for e in g.edges if e not in tset]
-    index = {e: i + 1 for i, e in enumerate(chords)}
-    letters = []
-    for i, e in enumerate(w.edges):
-        if e in tset:
-            continue
-        a, b = w.vertices[i], w.vertices[i + 1]
-        if a == b:
-            letters.append(index[e])
-        else:
-            lo = a if g.vpos(a) < g.vpos(b) else b
-            letters.append(index[e] if a == lo else -index[e])
-    return FreeWord(letters)
-
-
-def chord_names(g: Multigraph, tree) -> tuple:
-    tset = set(tree)
-    return tuple(str(e) for e in g.edges if e not in tset)
+    return FreeWord(_walk_letters(g, _chord_letters(g, tree), w))
 
 
 def deck_group_presentation(g: Multigraph, r: int, x0) -> Presentation:
     """Presentation of the deck group of the r-local cover of g.
 
     Generators are the chords of the canonical BFS tree at x0.  Each cycle
-    of length at most r contributes one relator: the word of the closed
-    walk that runs from x0 to the cycle's lowest vertex along the tree,
-    once around the cycle starting toward its lower neighbour, and back.
+    of length at most r contributes one relator: the word of the walk once
+    around the cycle from its lowest vertex, toward its lower neighbour.
+    The tree paths that would join that walk to x0 contribute no letters.
     """
     if not g.is_connected():
         raise GraphError("deck_group_presentation needs a connected graph")
     tree = spanning_tree(g, x0)
-    parent = _tree_parents(g, tree, x0)
-    relators = []
-    for cyc in enumerate_short_cycles(g, r):
-        base = cyc.vertices[0]
-        w0 = tree_path_walk(g, parent, x0, base)
-        walk = w0.concat(cyc.walk_once_around()).concat(w0.reverse())
-        relators.append(walk_to_word(g, tree, x0, walk))
-    return Presentation(chord_names(g, tree), relators)
+    chord_letter = _chord_letters(g, tree)
+    relators = [FreeWord(_walk_letters(g, chord_letter, cyc.walk_once_around()))
+                for cyc in enumerate_short_cycles(g, r)]
+    return Presentation([str(e) for e in chord_letter], relators)
 
 
 # ---------------------------------------------------------------------------

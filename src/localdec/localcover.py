@@ -21,6 +21,7 @@ from localdec.grouppres import (
     FiniteGroup,
     FreeWord,
     Presentation,
+    _chord_letters,
     _coset_tables,
     deck_group_presentation,
     table_to_group,
@@ -56,8 +57,10 @@ def _cover_eid(e, i) -> str:
 
 @dataclass
 class VoltageAssignment:
-    """Deck-group elements on canonically oriented edges; tree edges carry
-    the identity, the reverse orientation the inverse element."""
+    """Deck-group elements on the listed (tail, head) orientations; the
+    reverse orientation carries the inverse.  Tree edges carry the identity,
+    a chord its generator's image, inverted when the tail is the higher
+    endpoint, so no cover depends on which way round ends are listed."""
 
     group: FiniteGroup
     values: dict  # edge id -> group element for the stored (tail, head) orientation
@@ -228,30 +231,16 @@ class TruncatedCover:
         }
 
 
-def _tree_and_chords(g: Multigraph, x0):
-    tree = spanning_tree(g, x0)
-    tset = set(tree)
-    chords = [e for e in g.edges if e not in tset]
-    return tset, {e: i + 1 for i, e in enumerate(chords)}
-
-
-def _edge_letter(tset, chord_letter, e, forward: bool) -> Optional[int]:
-    if e in tset:
-        return None
-    letter = chord_letter[e]
-    return letter if forward else -letter
-
-
 def _build_ball(g: Multigraph, table: CosetTable, x0, radius: int, locality: int,
                 presentation: Presentation):
     """Breadth-first ball of the partial derived graph around (x0, coset 0)."""
-    tset, chord_letter = _tree_and_chords(g, x0)
+    chord_letter = _chord_letters(g, spanning_tree(g, x0))
 
     def step(coset, e, forward):
-        letter = _edge_letter(tset, chord_letter, e, forward)
+        letter = chord_letter.get(e)
         if letter is None:
             return coset
-        return table.step(coset, letter)
+        return table.step(coset, letter if forward else -letter)
 
     root = (x0, 0)
     depths = {root: 0}
@@ -398,6 +387,9 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     the coset budget is doubled.  One enumeration gives the tables at
     `coset_limit` and at twice it, the same tables `todd_coxeter` returns
     at each limit; a run that closes below `coset_limit` stops there.
+    A chord's letter is positive when crossed from its lower endpoint in
+    vertex order, and an edge's voltage is that of its listed orientation,
+    so no result depends on which way round an edge's ends are listed.
     """
     if r < 1:
         raise CoverError("locality parameter must be >= 1")
@@ -408,13 +400,10 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     table, table2 = _coset_tables(pres, (coset_limit, 2 * coset_limit))
     if table.complete:
         deck = table_to_group(table)
-        tset, chord_letter = _tree_and_chords(g, x0)
-        values = {}
-        for e in g.edges:
-            if e in tset:
-                values[e] = 0
-            else:
-                values[e] = deck.gen_images[chord_letter[e] - 1]
+        values = dict.fromkeys(g.edges, 0)
+        for e, letter in _chord_letters(g, spanning_tree(g, x0)).items():
+            image = deck.gen_images[abs(letter) - 1]
+            values[e] = image if letter > 0 else deck.inverse(image)
         voltage = VoltageAssignment(deck, values)
         return Covering(g, deck, voltage, x0)
     tc = _build_ball(g, table, x0, truncation_radius, r, pres)
@@ -493,7 +482,8 @@ def lift_walk(cov, w: Walk, start) -> Walk:
         v0, c0 = cov.coordinates(start)
         if v0 != w.start:
             raise CoverError("start vertex does not project to the walk start")
-        tset, chord_letter = _tree_and_chords(g, g.vertices[0])
+        chord_letter = _chord_letters(
+            g, spanning_tree(g, cov.projection_vertices[cov.root]))
         verts = [start]
         edges = []
         cur = c0
@@ -501,8 +491,9 @@ def lift_walk(cov, w: Walk, start) -> Walk:
             a, b = w.vertices[k], w.vertices[k + 1]
             u0, _ = g.ends[e]
             forward = a == u0
-            letter = _edge_letter(tset, chord_letter, e, forward)
-            nxt = cur if letter is None else cov.table.step(cur, letter)
+            letter = chord_letter.get(e)
+            nxt = (cur if letter is None
+                   else cov.table.step(cur, letter if forward else -letter))
             if nxt is None:
                 raise LiftOutOfBallError("lift leaves the enumerated region")
             i = cur if forward else nxt

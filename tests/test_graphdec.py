@@ -27,7 +27,12 @@ from localdec.treedecomp import induce_tree_decomposition
 
 from test_multigraph import complete_graph, cycle_graph, path_graph, random_connected_graph
 from test_tangles import glued_cliques, two_k5s
-from test_localcover import bowtie, bowtie_z2_cover
+from test_localcover import (
+    bowtie,
+    bowtie_z2_cover,
+    edge_orientation_cases,
+    half_reversed,
+)
 
 
 def necklace(n, clique=5):
@@ -489,6 +494,53 @@ def test_pipeline_relabelled_copy_gives_isomorphic_model():
               for h in res1.decomposition.model.vertices}
     parts2 = {frozenset(p.vertices) for p in res2.decomposition.parts.values()}
     assert parts1 == parts2
+
+
+def test_pipeline_readme_example_ignores_vertex_order():
+    # the vertex order decides which end of a chord is lower, and so the
+    # sign of its letter; the decomposition must not depend on it
+    def summary(g):
+        res = decompose(g, 3, max_tangle_order=2, coset_limit=3000,
+                        truncation_radius=10)
+        dec = res.decomposition
+        parts = sorted(sorted(map(str, p.vertices)) for p in dec.parts.values())
+        return parts, dec.model.n_vertices(), dec.model.n_edges(), res.canonicity
+
+    g = necklace(4)
+    expected = summary(g)
+    rng = random.Random(11)
+    for _ in range(20):
+        order = list(g.vertices)
+        rng.shuffle(order)
+        shuffled = Multigraph(order, [(e, g.ends[e]) for e in g.edges])
+        assert summary(shuffled) == expected
+
+
+def _with_sorted_ends(obj):
+    if isinstance(obj, dict):
+        return {k: sorted(v, key=str) if k == "ends" else _with_sorted_ends(v)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_with_sorted_ends(v) for v in obj]
+    return obj
+
+
+def test_pipeline_ignores_which_way_edge_ends_are_listed():
+    def outcome(g, r, k, limit, radius):
+        try:
+            res = decompose(g, r, max_tangle_order=k, coset_limit=limit,
+                            truncation_radius=radius)
+        except PipelineError as exc:
+            return str(exc)
+        return _with_sorted_ends(res.to_json_obj())
+
+    modes = set()
+    for i, (g, *args) in enumerate(edge_orientation_cases()):
+        expected = outcome(g, *args)
+        assert outcome(half_reversed(g, random.Random(i)), *args) == expected, i
+        if isinstance(expected, dict):
+            modes.add(expected["provenance"]["mode"])
+    assert modes == {"finite", "truncated"}
 
 
 def test_pipeline_unrolls_long_cycles_to_cycle_models():

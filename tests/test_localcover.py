@@ -49,6 +49,7 @@ from test_multigraph import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_multigraph,
     random_walk,
 )
 
@@ -92,6 +93,33 @@ def c6_double_cover():
     values = {e: 0 for e in g.edges}
     values["e5"] = 1
     return Covering(g, z2, VoltageAssignment(z2, values), 0)
+
+
+def listed_lower_first(g):
+    """g with every edge's ends listed lower endpoint first in vertex order."""
+    return Multigraph(g.vertices, [(e, tuple(sorted(g.ends[e], key=g.vpos)))
+                                   for e in g.edges])
+
+
+def half_reversed(g, rng):
+    """g with the ends of a seeded half of its edges listed the other way round."""
+    flip = set(rng.sample(list(g.edges), len(g.edges) // 2))
+    return Multigraph(g.vertices, [(e, g.ends[e][::-1] if e in flip else g.ends[e])
+                                   for e in g.edges])
+
+
+def edge_orientation_cases():
+    """Seeded connected multigraphs with loops and parallel edges, listed
+    lower endpoint first, then the README necklace; each with its locality,
+    tangle order, coset limit and truncation radius."""
+    from test_graphdec import necklace
+    rng = random.Random(3)
+    cases = []
+    for i in range(59):
+        g = random_multigraph(rng, rng.randrange(3, 7), rng.randrange(2, 6), True)
+        cases.append((listed_lower_first(g), 2 + i % 2, 3, 200, 6))
+    cases.append((necklace(4), 3, 2, 3000, 10))
+    return cases
 
 
 def cube_graph(d, fold=False):
@@ -279,6 +307,32 @@ def test_short_cycles_lift_closed_in_truncated_local_cover():
         assert lifted.is_closed()
         lifted_any += 1
     assert lifted_any >= 3
+
+
+def test_short_cycles_lift_closed_however_edge_ends_are_listed():
+    # a relator's letters and the ball's steps must read each chord the same
+    # way round, or short cycles lift open when a chord is listed higher
+    # endpoint first
+    from localdec.multigraph import cycles_through_vertex
+    lifted = 0
+    for i, (g, r, _k, limit, radius) in enumerate(edge_orientation_cases()):
+        g = half_reversed(g, random.Random(i))
+        cov = local_cover(g, r, coset_limit=limit, truncation_radius=radius)
+        if isinstance(cov, Covering):
+            starts = cov.cover.vertices
+        elif cov.table_covers_ball:
+            starts = [x for x in cov.ball.vertices if cov.depths[x] <= radius - r]
+        else:
+            continue
+        for x in starts:
+            v = cov.projection_vertices[x]
+            for cyc in cycles_through_vertex(g, v, r):
+                k = cyc.vertices.index(v)
+                w = Walk(cyc.vertices[k:] + cyc.vertices[:k] + (v,),
+                         cyc.edges[k:] + cyc.edges[:k])
+                assert lift_walk(cov, w, x).is_closed(), (i, x, cyc.edges)
+                lifted += 1
+    assert lifted > 500
 
 
 def test_trivial_walk_lifts_trivially():
