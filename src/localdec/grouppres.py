@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from localdec.multigraph import (
@@ -243,8 +244,11 @@ class CosetTable:
         return len(self.table)
 
     def step(self, coset: int, letter: int) -> Optional[int]:
-        col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-        entry = self.table[coset][col]
+        a = abs(letter)
+        if not 0 < a <= len(self.generators):
+            raise PresentationError("letter %d is not in +-1..+-%d"
+                                    % (letter, len(self.generators)))
+        entry = self.table[coset][2 * (a - 1) + (letter < 0)]
         return None if entry < 0 else entry
 
     def trace(self, coset: int, word: FreeWord) -> Optional[int]:
@@ -272,7 +276,9 @@ def todd_coxeter(p: Presentation, coset_limit: int = 100_000) -> CosetTable:
     gaps with new definitions; then define any still-undefined entries of
     its row in column order.  Coincidences collapse to the lower index.
     Stops with a consistent partial table once more than `coset_limit`
-    cosets have been defined in total.  This is the one-limit case of
+    cosets have been defined in total.  The strategy, not the layout of
+    the code, fixes the sequence of definitions and coincidences, and so
+    every table and `defined_total`.  This is the one-limit case of
     `_coset_tables`, which takes the tables of several limits from one
     run; once a coincidence is processed no live row names a dead coset.
     """
@@ -290,127 +296,96 @@ def _coset_tables(p: Presentation, limits) -> list:
     complete table for every limit not yet reached.  Each coincidence
     clears every reference to the cosets it kills and releases their
     rows, so once it returns no live row names a dead coset: the scans
-    and the snapshots read entries directly, and the union-find `find`
-    serves the coincidence alone.  The table modulo `find` does not
-    depend on the order in which dead rows are processed.
+    and the snapshots read entries directly, and the union-find serves
+    the coincidence alone.  The table a coincidence leaves does not
+    depend on the order in which its dead rows are processed.
+
+    The sequence of definitions and coincidences, and so every table and
+    `defined_total`, is fixed by the strategy of `todd_coxeter`, not by
+    the layout of this loop.  The scans, the definitions and the
+    union-find run inline in one frame; a relator of length 1 is the
+    direct deduction its scan would make; after a definition a scan goes
+    on from where it stopped, as SCANANDFILL in Holt, Eick & O'Brien
+    (2005), section 5.1, does, since a scan restarted from the coset
+    would stop at the same two positions.  As there, the working table
+    numbers cosets from 1 and marks an undefined entry 0.
     """
+    if not limits:
+        raise PresentationError("at least one coset limit is needed")
     if any(limit < 1 for limit in limits):
         raise PresentationError("coset_limit must be >= 1")
     if any(b < a for a, b in zip(limits, limits[1:])):
         raise PresentationError("coset limits must not decrease")
-    ngens = len(p.generators)
-    ncols = 2 * ngens
+    columns = range(2 * len(p.generators))
     rel_cols = [_letters_to_cols(w) for w in p.relators if len(w) > 0]
 
-    table = [[-1] * ncols]
-    rep = [0]
+    table = [None, [0] * len(columns)]   # row 0 is a placeholder
+    rep = [0, 1]
     defined = 1
 
-    def find(a):
-        while rep[a] != a:
-            rep[a] = rep[rep[a]]
-            a = rep[a]
-        return a
-
-    dead = []   # merged cosets whose rows are not yet processed
-
-    def union(x, y):
-        x, y = find(x), find(y)
-        if x != y:
-            if y < x:
-                x, y = y, x
-            rep[y] = x
-            dead.append(y)
-
-    def merge(a, b):
-        """COINCIDENCE of Holt, Eick & O'Brien (2005), section 5.1: the
-        larger representative dies, and each dead row, taken in turn, has
-        its entries' back entries cleared and its entries moved to the live
-        representatives, queueing the coincidences this forces."""
-        union(a, b)
+    def coincidence(a, b):
+        """COINCIDENCE of Holt, Eick & O'Brien (2005), section 5.1, for
+        live a != b: the larger dies, and each dead row, taken in turn,
+        has its entries' back entries cleared and its entries moved to the
+        live representatives, queueing the coincidences this forces."""
+        if b < a:
+            a, b = b, a
+        rep[b] = a
+        dead = [b]
         for y in dead:
             row_y = table[y]
-            for c in range(ncols):
+            mu = y
+            # compress reads row_y lazily, so it skips the back entry of a
+            # self-loop, which lies in row_y and is cleared on the way
+            for c in compress(columns, row_y):
                 d = row_y[c]
-                if d < 0:
-                    continue
-                table[d][c ^ 1] = -1
-                mu, nu = find(y), find(d)
-                if table[mu][c] >= 0:
-                    union(nu, table[mu][c])
-                elif table[nu][c ^ 1] >= 0:
-                    union(mu, table[nu][c ^ 1])
+                table[d][c ^ 1] = 0
+                while rep[mu] != mu:        # find with path halving
+                    rep[mu] = mu = rep[rep[mu]]
+                nu = d
+                while rep[nu] != nu:
+                    rep[nu] = nu = rep[rep[nu]]
+                row_mu, row_nu = table[mu], table[nu]
+                if row_mu[c]:
+                    x, t = nu, row_mu[c]
+                elif row_nu[c ^ 1]:
+                    x, t = mu, row_nu[c ^ 1]
                 else:
-                    table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    row_mu[c] = nu
+                    row_nu[c ^ 1] = mu
+                    continue
+                while rep[t] != t:          # union of the live x with t
+                    rep[t] = t = rep[rep[t]]
+                if t != x:
+                    if t < x:
+                        x, t = t, x
+                    rep[t] = x
+                    dead.append(t)
             table[y] = None
-        dead.clear()
-
-    def define(a, c):
-        nonlocal defined
-        b = len(table)
-        table.append([-1] * ncols)
-        rep.append(b)
-        table[a][c] = b
-        table[b][c ^ 1] = a
-        defined += 1
-        return b
-
-    def scan_and_fill(a, cols):
-        n = len(cols)
-        while True:
-            f = a
-            i = 0
-            while i < n:
-                t = table[f][cols[i]]
-                if t < 0:
-                    break
-                f = t
-                i += 1
-            if i == n:
-                if f != a:
-                    merge(f, a)
-                return
-            b = a
-            j = n - 1
-            while j >= i:
-                t = table[b][cols[j] ^ 1]
-                if t < 0:
-                    break
-                b = t
-                j -= 1
-            if j < i:
-                merge(f, b)
-                return
-            if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
-                return
-            define(f, cols[i])
 
     def standardize(alpha):
         """Live rows renumbered breadth-first from the trivial coset, in
-        column order.  A partial table (alpha is not None) keeps only the
-        rows below alpha, which are fully processed: every relator scanned
-        and every entry defined.  Later rows may carry stray definitions
-        whose relator scans never ran."""
-        # coset 0 is never merged into another coset
-        index = {0: 0}
-        order = [0]
-        head = 0
-        while head < len(order):
-            row = table[order[head]]
-            head += 1
-            for t in row:
-                if t >= 0 and t not in index and (alpha is None or t < alpha):
+        column order, from 0 and with -1 for an undefined entry.  A
+        partial table (alpha is not None) keeps only the rows below alpha,
+        which are fully processed: every relator scanned and every entry
+        defined.  Later rows may carry stray definitions whose relator
+        scans never ran."""
+        bound = len(table) if alpha is None else alpha
+        index = [-1] * len(table)   # so index[0], an undefined entry, is -1
+        index[1] = 0                # coset 1 is never merged into another coset
+        order = [1]
+        for a in order:
+            for t in table[a]:
+                if index[t] < 0 and 0 < t < bound:
                     index[t] = len(order)
                     order.append(t)
-        return [[index.get(t, -1) for t in table[a]] for a in order]
+        return [[index[t] for t in table[a]] for a in order]
 
     tables = []
-    alpha = 0
+    alpha = 1
     while alpha < len(table):
-        if rep[alpha] != alpha:
+        row = table[alpha]
+        if row is None:
             alpha += 1
             continue
         while defined > limits[len(tables)]:
@@ -419,15 +394,54 @@ def _coset_tables(p: Presentation, limits) -> list:
             if len(tables) == len(limits):
                 return tables
         for cols in rel_cols:
-            scan_and_fill(alpha, cols)
-            if rep[alpha] != alpha:
-                break
-        if rep[alpha] != alpha:
-            alpha += 1
-            continue
-        for c in range(ncols):
-            if table[alpha][c] < 0:
-                define(alpha, c)
+            f = b = alpha
+            if len(cols) == 1:
+                # the deduction or coincidence the scan below would find
+                c = cols[0]
+                if row[c]:
+                    f = row[c]
+                elif row[c ^ 1]:
+                    b = row[c ^ 1]
+                else:
+                    row[c] = row[c ^ 1] = alpha
+            else:
+                # forward from alpha to (i, f), backward to (j, b), then a
+                # definition, or a deduction that the next forward pass
+                # finds to close the scan when one gap is left
+                i, j = 0, len(cols) - 1
+                while True:
+                    while i <= j and (t := table[f][cols[i]]):
+                        f = t
+                        i += 1
+                    if i > j:
+                        break
+                    while j >= i and (t := table[b][cols[j] ^ 1]):
+                        b = t
+                        j -= 1
+                    if j < i:
+                        break
+                    c = cols[i]
+                    if i == j:
+                        table[f][c] = b
+                        table[b][c ^ 1] = f
+                    else:
+                        table[f][c] = len(table)
+                        table.append([0] * len(columns))
+                        table[-1][c ^ 1] = f
+                        rep.append(len(rep))
+                        defined += 1
+            if f != b:
+                coincidence(f, b)
+                if rep[alpha] != alpha:
+                    break
+        else:
+            for c in columns:
+                if not row[c]:
+                    row[c] = len(table)
+                    table.append([0] * len(columns))
+                    table[-1][c ^ 1] = alpha
+                    rep.append(len(rep))
+                    defined += 1
         alpha += 1
 
     rows = standardize(None)

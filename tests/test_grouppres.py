@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localdec.grouppres import (
+    CosetTable,
     FiniteGroup,
     FreeWord,
     Presentation,
@@ -282,6 +283,17 @@ def test_word_image():
     assert word_image(t, FreeWord((1,))) != 0
 
 
+def test_step_refuses_letters_outside_the_generators():
+    # letter 0 used to read column -1, the last generator's inverse entry
+    t = CosetTable(("a",), [[0, 0]], True, 1, 1)
+    assert t.step(0, 1) == 0 and t.step(0, -1) == 0
+    for letter in (0, 2, -2, 5):
+        with pytest.raises(PresentationError):
+            t.step(0, letter)
+    with pytest.raises(PresentationError):
+        t.trace(0, FreeWord((1, 2)))
+
+
 def test_empty_presentation_table_gives_trivial_group():
     t = todd_coxeter(Presentation((), ()), 10)
     g = table_to_group(t)
@@ -380,6 +392,12 @@ def test_coset_limit_below_one_is_refused():
             todd_coxeter(p, limit)
         with pytest.raises(PresentationError):
             _coset_tables(p, (limit, 2 * limit))
+
+
+def test_empty_coset_limits_are_refused():
+    p = Presentation(("a",), (FreeWord((1, 1)),))
+    with pytest.raises(PresentationError):
+        _coset_tables(p, ())
 
 
 def test_decreasing_coset_limits_are_refused():
@@ -494,3 +512,46 @@ def test_pinned_coset_tables():
             hashlib.sha256(repr(_table_fields(t)).encode()).hexdigest()
             for t in _coset_tables(p, limits))
     assert got == PINNED_TABLE_HASHES
+
+
+def _default_limit_cases():
+    """The enumerations of the `cover` workload at the default coset limit
+    and twice it, and two coincidence-heavy presentations: the Fibonacci
+    group F(2,5), cyclic of order 11, and <a, b | aba^-1b^-2, bab^-1a^-2>,
+    which is trivial."""
+    for n in (4, 6):
+        p = deck_group_presentation(necklace(n), 3, "g0")
+        yield "necklace%d" % n, p, (100000, 200000)
+    # x_i x_{i+1} = x_{i+2}, indices mod 5
+    fibonacci = [FreeWord((i + 1, (i + 1) % 5 + 1, -((i + 2) % 5 + 1))) for i in range(5)]
+    yield "fibonacci-2-5", Presentation("abcde", fibonacci), (20, 200)
+    trivial = [FreeWord((1, 2, -1, -2, -2)), FreeWord((2, 1, -2, -1, -1))]
+    yield "trivial-2", Presentation("ab", trivial), (20, 200)
+
+
+# sha256 of repr((table, complete, limit, defined_total)) of both snapshots
+PINNED_DEFAULT_LIMIT_HASHES = {
+    "necklace4": ("dadf9886e7315cc40c838638537a3fd10a9a3f1a6c65d50b71d934c69eabae7a",
+                  "4a9c53fa4bfdcd8a438940c1b443270c32d4683df7ca0897a0293c6487b694a8"),
+    "necklace6": ("1f65a746ff52c4cd64bf2120fb0389936522375b6164aaf7128fec0486fbf89c",
+                  "2dfcf65c1ea01d702fc07d7927b2e40a79c8984257aca1f4c767d912baf9dced"),
+    "fibonacci-2-5": ("cdbe0bb3ab581127817bbea833bbf3d04eefe259d7215a12337a359d98f89de3",
+                      "cab5c0ead2ee26f8ec90b97fbd7c619625ed1f1f55d8a06a76d4cc539ccede4e"),
+    "trivial-2": ("59871726b4aff54b4d432e161770135e3d83d27a46d6ad9e323d0344347fa46c",
+                  "f44adbf953a3997ae986fcd5dc831b4fff25f3829f1e2b22f77f87995e0d21a7"),
+}
+
+
+def test_pinned_default_limit_tables():
+    # hashes recorded from the enumeration that called a function per
+    # relator scan, per definition and per find, before it ran in one frame
+    got = {}
+    shapes = {}
+    for name, p, limits in _default_limit_cases():
+        tables = _coset_tables(p, limits)
+        got[name] = tuple(hashlib.sha256(repr(_table_fields(t)).encode()).hexdigest()
+                          for t in tables)
+        shapes[name] = [(t.n_cosets(), t.complete, t.defined_total) for t in tables]
+    assert shapes["fibonacci-2-5"][1] == (11, True, 165)
+    assert shapes["trivial-2"] == [(1, True, 12), (1, True, 12)]
+    assert got == PINNED_DEFAULT_LIMIT_HASHES
