@@ -305,6 +305,11 @@ def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecompo
     result always passes the decomposition axioms, edge supports included,
     and honesty; a failure there is an internal error.
     """
+    return _verified_quotient(cov, td)[0]
+
+
+def _verified_quotient(cov: Covering, td: TreeDecomposition):
+    """`quotient_decomposition` with its edge labels and axiom report."""
     if td.graph != cov.cover:
         raise DecompositionError("tree-decomposition does not decompose the cover")
     nodes = list(td.tree.vertices)
@@ -327,14 +332,12 @@ def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecompo
             edge_orbits.union(edge_index[e], edge_index[e2])
     dec, edge_labels = _orbit_quotient(cov, cov.cover, td, nodes, node_orbits,
                                        edges, edge_orbits)
-    dec.edge_labels = edge_labels
-
     report = verify_graph_decomposition(cov.base, dec)
     if not report.passed:
         raise DecompositionError(
             "quotient decomposition violates its guaranteed axioms: %s"
             % report.failures())
-    return dec
+    return dec, edge_labels, report
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +529,8 @@ def _finite_pipeline(cov: Covering, max_tangle_order: int,
                               automorphism_budget=automorphism_budget,
                               group=cover_group)
     td = induce_tree_decomposition(cov.cover, ns)
-    dec = quotient_decomposition(cov, td)
-    return dec, dec.edge_labels, {
+    dec, edge_labels, report = _verified_quotient(cov, td)
+    return dec, edge_labels, report, {
         "nested_set_size": len(ns),
         "tree_nodes": td.tree.n_vertices(),
         "cover_vertices": cov.cover.n_vertices(),
@@ -636,8 +639,8 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
     group = automorphism_group(g, budget=automorphism_budget)
     try:
         if isinstance(cov, Covering):
-            dec, edge_labels, info = _finite_pipeline(cov, max_tangle_order,
-                                                      automorphism_budget, group)
+            dec, edge_labels, report, info = _finite_pipeline(
+                cov, max_tangle_order, automorphism_budget, group)
             mode = "finite"
             info["heuristic"] = None
         else:
@@ -657,13 +660,13 @@ def decompose(g: Multigraph, r: int, max_tangle_order: int = 6,
             info["heuristic"] = "stable at radius %d" % truncation_radius
             info["rim_filter"] = False  # a fixed key of the provenance format
             info["radii_compared"] = [truncation_radius, truncation_radius - 1]
+            report = verify_graph_decomposition(g, dec)
     except BudgetError as exc:
         raise PipelineError(
             "separation enumeration exceeded its budget on the cover; "
             "lower max_tangle_order or the truncation radius",
             {"max_tangle_order": max_tangle_order, "cause": str(exc)}) from exc
 
-    report = verify_graph_decomposition(g, dec)
     if group is UNDECIDED:
         canonicity = None
     else:

@@ -7,6 +7,12 @@ V(G) x group with edges twisted by the voltages.  When coset enumeration
 of the deck-group presentation does not finish, a certified ball of the
 partially enumerated cover stands in for the infinite cover.
 
+Each cover kind has one step: the fibre coordinate reached from a
+coordinate across a base edge, forward from its stored tail or backward
+from its head (the voltage for a `Covering`, the coset table on the chord
+letter for a `TruncatedCover`).  Building a cover or a ball and lifting a
+walk all read that step, and edge instance (e, i) has its tail in fibre i.
+
 Cover ids are strings "v@i" and "e@i" (base id at fibre coordinate), but
 all projections are carried explicitly and nothing parses ids back.
 """
@@ -97,11 +103,10 @@ class Covering:
             proj_v[name] = v
         for e in base.edges:
             u, v = base.ends[e]
-            g_e = voltage.forward(e)
             for i in range(n):
+                # edge instance (e, i) has its tail in fibre i
                 name = _cover_eid(e, i)
-                j = deck.op(i, g_e)
-                edges.append((name, (vid[(u, i)], vid[(v, j)])))
+                edges.append((name, (vid[(u, i)], vid[(v, self._step(i, e, True))])))
                 proj_e[name] = e
                 self._eid[(e, i)] = name
         self.cover = Multigraph(verts, edges)
@@ -116,6 +121,12 @@ class Covering:
         if not self.cover.is_connected():
             raise CoverError("derived graph is disconnected: voltages do not "
                              "generate the deck group")
+
+    def _step(self, c, e, forward: bool) -> int:
+        """The fibre coordinate reached from c across base edge e, forward
+        from its stored tail or backward from its head."""
+        v = self.voltage
+        return self.deck.op(c, v.forward(e) if forward else v.backward(e))
 
     # -- structure ----------------------------------------------------------
 
@@ -198,7 +209,7 @@ class TruncatedCover:
     locality: int
     certificates: dict = field(default_factory=dict)
     table_covers_ball: bool = True
-    _vid: dict = field(default_factory=dict)
+    _chord_letter: dict = field(default_factory=dict)  # chord -> its letter
     _coord: dict = field(default_factory=dict)
 
     @property
@@ -206,6 +217,9 @@ class TruncatedCover:
         return (self.table_covers_ball
                 and self.certificates.get("lift_separation") is True
                 and self.certificates.get("radius_stable") is True)
+
+    def _step(self, c, e, forward: bool) -> Optional[int]:
+        return _table_step(self.table, self._chord_letter, c, e, forward)
 
     def lifts_of(self, v):
         return tuple(name for name in self.ball.vertices
@@ -231,16 +245,32 @@ class TruncatedCover:
         }
 
 
-def _build_ball(g: Multigraph, table: CosetTable, x0, radius: int, locality: int,
-                presentation: Presentation):
-    """Breadth-first ball of the partial derived graph around (x0, coset 0)."""
-    chord_letter = _chord_letters(g, spanning_tree(g, x0))
+def _table_step(table: CosetTable, chord_letter: dict, c, e,
+                forward: bool) -> Optional[int]:
+    """The coset reached from c across base edge e, forward from its stored
+    tail or backward from its head; None where the table has no entry."""
+    letter = chord_letter.get(e)
+    if letter is None:
+        return c
+    return table.step(c, letter if forward else -letter)
 
-    def step(coset, e, forward):
-        letter = chord_letter.get(e)
-        if letter is None:
-            return coset
-        return table.step(coset, letter if forward else -letter)
+
+def _crossing(step, c, e, forward: bool):
+    """Cross base edge e from fibre coordinate c with a cover's step: the
+    fibre i of the edge instance (e, i) crossed and the coordinate reached,
+    or (None, None) where a partial table has no entry.  Edge instance
+    (e, i) has its tail in fibre i."""
+    reached = step(c, e, forward)
+    if reached is None:
+        return None, None
+    return (c if forward else reached), reached
+
+
+def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
+                radius: int, locality: int, presentation: Presentation):
+    """Breadth-first ball of the partial derived graph around (x0, coset 0)."""
+    def step(c, e, forward):
+        return _table_step(table, chord_letter, c, e, forward)
 
     root = (x0, 0)
     depths = {root: 0}
@@ -254,26 +284,15 @@ def _build_ball(g: Multigraph, table: CosetTable, x0, radius: int, locality: int
         if d >= radius:
             continue
         for e, w in g.incident(v):
-            u0, v0 = g.ends[e]
-            if v == u0:
-                c2 = step(c, e, True)
-            else:
-                c2 = step(c, e, False)
-            if c2 is None:
-                complete = False
-                continue
-            key = (w, c2)
-            if key not in depths:
-                depths[key] = d + 1
-                order.append(key)
-            if v == w and v == u0:
-                # a loop also steps backwards to a possibly new vertex
-                c3 = step(c, e, False)
-                if c3 is None:
+            # a loop also steps backwards to a possibly new vertex
+            for forward in ((True, False) if v == w else (v == g.ends[e][0],)):
+                c2 = step(c, e, forward)
+                if c2 is None:
                     complete = False
-                elif (w, c3) not in depths:
-                    depths[(w, c3)] = d + 1
-                    order.append((w, c3))
+                    break
+                if (w, c2) not in depths:
+                    depths[(w, c2)] = d + 1
+                    order.append((w, c2))
 
     vid = {key: _cover_vid(*key) for key in order}
     verts = [vid[key] for key in order]
@@ -285,41 +304,26 @@ def _build_ball(g: Multigraph, table: CosetTable, x0, radius: int, locality: int
     seen_edges = set()
     for (v, c) in order:
         for e, w in g.incident(v):
-            u0, v0 = g.ends[e]
-            # edge instance (e, i) has its tail u0 in fibre coordinate i
-            if v == u0:
-                i = c
-                c2 = step(c, e, True)
-            else:
-                c2 = step(c, e, False)
-                i = c2
-            if c2 is None or i is None:
+            forward = v == g.ends[e][0]
+            i, c2 = _crossing(step, c, e, forward)
+            if i is None or (w, c2) not in depths:
                 continue
-            tail_key = (u0, i)
-            j = step(i, e, True)
-            if j is None:
-                continue
-            head_key = (v0, j)
-            if tail_key not in depths or head_key not in depths:
-                continue
-            if depths[tail_key] + 1 + depths[head_key] > 2 * radius:
+            if depths[(v, c)] + 1 + depths[(w, c2)] > 2 * radius:
                 continue
             name = _cover_eid(e, i)
             if name in seen_edges:
                 continue
             seen_edges.add(name)
-            edges.append((name, (vid[tail_key], vid[head_key])))
+            ends = (vid[(v, c)], vid[(w, c2)])
+            edges.append((name, ends if forward else ends[::-1]))
             proj_e[name] = e
 
     edges.sort(key=lambda item: (g.epos(proj_e[item[0]]), item[0]))
-    ball = Multigraph(verts, edges)
-    tc = TruncatedCover(g, ball, vid[root], radius, proj_v, proj_e, table,
-                        presentation, {vid[k]: d for k, d in depths.items()},
-                        locality)
-    tc._vid = vid
-    tc._coord = coord
-    tc.table_covers_ball = complete
-    return tc
+    return TruncatedCover(g, Multigraph(verts, edges), vid[root], radius, proj_v,
+                          proj_e, table, presentation,
+                          {vid[k]: d for k, d in depths.items()}, locality,
+                          table_covers_ball=complete, _chord_letter=chord_letter,
+                          _coord=coord)
 
 
 def _transport(c1, g1, c2, g2, x1, x2, partial: bool = False) -> Optional[dict]:
@@ -398,15 +402,16 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     x0 = g.vertices[0]
     pres = deck_group_presentation(g, r, x0)
     table, table2 = _coset_tables(pres, (coset_limit, 2 * coset_limit))
+    chord_letter = _chord_letters(g, spanning_tree(g, x0))
     if table.complete:
         deck = table_to_group(table)
         values = dict.fromkeys(g.edges, 0)
-        for e, letter in _chord_letters(g, spanning_tree(g, x0)).items():
+        for e, letter in chord_letter.items():
             image = deck.gen_images[abs(letter) - 1]
             values[e] = image if letter > 0 else deck.inverse(image)
         voltage = VoltageAssignment(deck, values)
         return Covering(g, deck, voltage, x0)
-    tc = _build_ball(g, table, x0, truncation_radius, r, pres)
+    tc = _build_ball(g, table, chord_letter, x0, truncation_radius, r, pres)
     sep = verify_ball_preservation(tc, r)
     tc.certificates["lift_separation"] = (sep if sep is not UNDECIDED else None)
     if table2.complete:
@@ -415,7 +420,7 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
         tc.certificates["radius_stable"] = False
         tc.certificates["completes_with_larger_budget"] = True
         return tc
-    tc2 = _build_ball(g, table2, x0, truncation_radius, r, pres)
+    tc2 = _build_ball(g, table2, chord_letter, x0, truncation_radius, r, pres)
     pair = _transport(tc, tc.ball, tc2, tc2.ball, tc.root, tc2.root)
     tc.certificates["radius_stable"] = (
         pair is not None
@@ -434,9 +439,9 @@ def shrink_truncated(tc: TruncatedCover, radius: int) -> TruncatedCover:
     """
     if radius > tc.radius:
         raise CoverError("can only shrink a truncated cover")
-    g = tc.base
-    x0 = tc.projection_vertices[tc.root]
-    out = _build_ball(g, tc.table, x0, radius, tc.locality, tc.presentation)
+    out = _build_ball(tc.base, tc.table, tc._chord_letter,
+                      tc.projection_vertices[tc.root], radius, tc.locality,
+                      tc.presentation)
     sep = verify_ball_preservation(out, tc.locality)
     out.certificates["lift_separation"] = (sep if sep is not UNDECIDED else None)
     out.certificates["radius_stable"] = tc.certificates.get("radius_stable")
@@ -454,57 +459,26 @@ def lift_walk(cov, w: Walk, start) -> Walk:
     their stored orientation (a combinatorial walk does not determine the
     traversal direction of a loop).
     """
-    if isinstance(cov, Covering):
-        g = cov.base
-        check_walk(g, w)
-        v0, i0 = cov.coordinates(start)
-        if v0 != w.start:
-            raise CoverError("start vertex does not project to the walk start")
-        verts = [start]
-        edges = []
-        cur = (v0, i0)
-        for k, e in enumerate(w.edges):
-            a, b = w.vertices[k], w.vertices[k + 1]
-            u0, _ = g.ends[e]
-            v, i = cur
-            if a == u0:
-                j = cov.deck.op(i, cov.voltage.forward(e))
-                edges.append(cov._eid[(e, i)])
-            else:
-                j = cov.deck.op(i, cov.voltage.backward(e))
-                edges.append(cov._eid[(e, j)])
-            cur = (b, j)
-            verts.append(cov._vid[cur])
-        return Walk(tuple(verts), tuple(edges))
-    if isinstance(cov, TruncatedCover):
-        g = cov.base
-        check_walk(g, w)
-        v0, c0 = cov.coordinates(start)
-        if v0 != w.start:
-            raise CoverError("start vertex does not project to the walk start")
-        chord_letter = _chord_letters(
-            g, spanning_tree(g, cov.projection_vertices[cov.root]))
-        verts = [start]
-        edges = []
-        cur = c0
-        for k, e in enumerate(w.edges):
-            a, b = w.vertices[k], w.vertices[k + 1]
-            u0, _ = g.ends[e]
-            forward = a == u0
-            letter = chord_letter.get(e)
-            nxt = (cur if letter is None
-                   else cov.table.step(cur, letter if forward else -letter))
-            if nxt is None:
-                raise LiftOutOfBallError("lift leaves the enumerated region")
-            i = cur if forward else nxt
-            name = _cover_eid(e, i)
-            if name not in cov.ball.ends or _cover_vid(b, nxt) not in cov.depths:
-                raise LiftOutOfBallError("lift leaves the truncated ball")
-            edges.append(name)
-            cur = nxt
-            verts.append(_cover_vid(b, cur))
-        return Walk(tuple(verts), tuple(edges))
-    raise CoverError("unknown cover object %r" % (cov,))
+    if not isinstance(cov, (Covering, TruncatedCover)):
+        raise CoverError("unknown cover object %r" % (cov,))
+    g = cov.base
+    check_walk(g, w)
+    v0, cur = cov.coordinates(start)
+    if v0 != w.start:
+        raise CoverError("start vertex does not project to the walk start")
+    graph = _graph_of(cov)
+    verts = [start]
+    edges = []
+    for k, e in enumerate(w.edges):
+        i, cur = _crossing(cov._step, cur, e, w.vertices[k] == g.ends[e][0])
+        if i is None:
+            raise LiftOutOfBallError("lift leaves the enumerated region")
+        name, x = _cover_eid(e, i), _cover_vid(w.vertices[k + 1], cur)
+        if name not in graph.ends or not graph.has_vertex(x):
+            raise LiftOutOfBallError("lift leaves the truncated ball")
+        edges.append(name)
+        verts.append(x)
+    return Walk(tuple(verts), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class TreeDecomposition:
         tree = Multigraph(list(parts), (("s%d" % i, (d["a"], d["b"]))
                                         for i, d in enumerate(obj["edges"])))
         td = TreeDecomposition(g, tree, parts, {}, {}, ())
-        sides = _tree_edge_sides(td, tree.edges)
+        sides = _tree_edge_sides(td, {t: td.part_mask(t) for t in parts}, tree.edges)
         full = g.bits().vall
         for e, d in zip(tree.edges, obj["edges"]):
             a, b = tree.ends[e]
@@ -197,7 +197,6 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
     back the set exactly.
     """
     seps = _seps_of(n)
-    _check_nested_proper(seps)
     stars = splitting_stars(seps)
     bits = g.bits()
 
@@ -227,6 +226,7 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
         raise GraphError("splitting stars do not form a tree")
 
     parts = {}
+    masks = {}
     for t, star in star_of.items():
         mask = bits.vall
         for i, flag in star.members:
@@ -234,13 +234,15 @@ def induce_tree_decomposition(g: Multigraph, n) -> TreeDecomposition:
         if mask == 0:
             raise GraphError("splitting star has an empty part")
         parts[t] = g.vertices_of_mask(mask)
+        masks[t] = mask
 
     td = TreeDecomposition(g, tree, parts, star_of, edge_sep, tuple(seps))
-    report = verify_tree_decomposition(g, td)
+    sides = _tree_edge_sides(td, masks, tree.edges)
+    report = _tree_report(g, td, masks, sides)
     if not report.passed:
         raise GraphError("induced tree-decomposition fails: %s" % (report.failures(),))
-    _assert_round_trip(td)
-    _assert_alpha_order_isomorphism(td)
+    _assert_round_trip(td, sides)
+    _assert_alpha_order_isomorphism(td, sides)
     return td
 
 
@@ -248,9 +250,11 @@ def _is_tree(tree: Multigraph) -> bool:
     return tree.n_vertices() == tree.n_edges() + 1 and tree.is_connected()
 
 
-def _tree_edge_sides(td: TreeDecomposition, edges) -> dict:
-    """(tree edge, end) -> vertex mask of the union of the parts in the
-    component of tree - edge that contains that end."""
+def _tree_edge_sides(td: TreeDecomposition, masks: dict, edges) -> dict:
+    """(tree edge, end) -> vertex mask of the union of the parts, with part
+    masks `masks`, in the component of tree - edge that contains that end.
+    One search per edge end, so a verified artifact whose "tree" has a
+    cycle still gets sides."""
     out = {}
     for edge in edges:
         for end in td.tree.ends[edge]:
@@ -265,7 +269,7 @@ def _tree_edge_sides(td: TreeDecomposition, edges) -> dict:
                     stack.append(w)
             mask = 0
             for t in seen:
-                mask |= td.part_mask(t)
+                mask |= masks[t]
             out[edge, end] = mask
     return out
 
@@ -274,13 +278,12 @@ def induced_oriented_separation(td: TreeDecomposition, edge, towards) -> tuple:
     """(A, B) masks induced by the tree edge oriented towards `towards`."""
     a, b = td.tree.ends[edge]
     other = a if towards == b else b
-    sides = _tree_edge_sides(td, [edge])
+    sides = _tree_edge_sides(td, {t: td.part_mask(t) for t in td.parts}, [edge])
     return sides[edge, other], sides[edge, towards]
 
 
-def _assert_round_trip(td: TreeDecomposition) -> None:
+def _assert_round_trip(td: TreeDecomposition, sides: dict) -> None:
     want = {(s.a_mask, s.b_mask) for s in td.separations}
-    sides = _tree_edge_sides(td, td.tree.edges)
     got = set()
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
@@ -293,9 +296,8 @@ def _assert_round_trip(td: TreeDecomposition) -> None:
         raise GraphError("induced separations differ from the nested set")
 
 
-def _assert_alpha_order_isomorphism(td: TreeDecomposition) -> None:
+def _assert_alpha_order_isomorphism(td: TreeDecomposition, sides: dict) -> None:
     # orienting consecutive edges of the tree the same way must respect <=
-    sides = _tree_edge_sides(td, td.tree.edges)
     for t in td.tree.vertices:
         for e1, w1 in td.tree.incident(t):
             for e2, w2 in td.tree.incident(t):
@@ -334,8 +336,13 @@ class TreeDecompositionReport:
 
 def verify_tree_decomposition(g: Multigraph, td: TreeDecomposition) -> TreeDecompositionReport:
     """Check the decomposition axioms and report, never raise."""
-    vall = g.bits().vall
     masks = {t: td.part_mask(t) for t in td.tree.vertices}
+    return _tree_report(g, td, masks, _tree_edge_sides(td, masks, td.tree.edges))
+
+
+def _tree_report(g: Multigraph, td: TreeDecomposition, masks: dict,
+                 sides: dict) -> TreeDecompositionReport:
+    vall = g.bits().vall
     union = 0
     for m in masks.values():
         union |= m
@@ -350,7 +357,6 @@ def verify_tree_decomposition(g: Multigraph, td: TreeDecomposition) -> TreeDecom
 
     adhesion_identity = regular = True
     max_adhesion = 0
-    sides = _tree_edge_sides(td, td.tree.edges)
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
         am, bm = sides[e, a], sides[e, b]

@@ -276,3 +276,23 @@ def test_invalid_option_values(tmp_path):
     assert run("decompose", "--input", inp, "--r", "3",
                "--max-tangle-order", "0") == 2
     assert run("cover", "--input", inp, "--r", "0") == 2
+
+
+def test_verify_reports_a_tree_artifact_with_a_cycle(tmp_path):
+    # a tree edge listed twice closes a cycle; the verifier still reports
+    # on the artifact, and each copy's sides then cover every vertex
+    from test_tangles import two_k5s
+    inp = write_graph(tmp_path / "g.json", two_k5s())
+    out = tmp_path / "tree.json"
+    assert run("tree", "--input", inp, "--max-tangle-order", "3",
+               "--out", str(out)) == 0
+    cyclic = json.loads(out.read_text())
+    cyclic["edges"].append(dict(cyclic["edges"][0]))
+    bad = tmp_path / "cyclic.json"
+    bad.write_text(json.dumps(cyclic))
+    report = tmp_path / "report.json"
+    assert run("verify", "--input", str(bad), "--out", str(report)) == 1
+    obj = json.loads(report.read_text())
+    assert obj["artifact"] == "tree-decomposition"
+    assert obj["is_tree"] is False
+    assert obj["regular"] is False

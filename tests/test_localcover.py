@@ -354,6 +354,57 @@ def test_shrink_truncated_reuses_table():
         shrink_truncated(small, 8)
 
 
+def _star_is_visible(cov, graph, x):
+    """Does the cover graph hold the whole star of x, each base edge end
+    at its image once?"""
+    def star(h, y, proj):
+        ends = {}
+        for e, w in h.incident(y):
+            ends[proj(e)] = ends.get(proj(e), 0) + (2 if w == y else 1)
+        return ends
+    v = cov.projection_vertices[x]
+    return (star(graph, x, cov.projection_edges.__getitem__)
+            == star(cov.base, v, lambda e: e))
+
+
+def test_ball_and_lift_walk_read_one_step_rule():
+    # from every vertex with a visible star, the lift of each one-edge walk
+    # is an edge of the cover graph over that base edge, and the reverse
+    # walk lifts back along it; loops lift forward only
+    from test_graphdec import necklace
+    from localdec.localcover import shrink_truncated
+    from localdec.multigraph import check_walk
+    ball = local_cover(necklace(4), 3, coset_limit=3000)
+    assert isinstance(ball, TruncatedCover) and ball.table_covers_ball
+    shrunk = shrink_truncated(ball, ball.radius - 1)
+    assert shrunk._chord_letter is ball._chord_letter
+    covers = [bowtie_z2_cover(), ball, shrunk]
+    for g, r, _k, limit, radius in edge_orientation_cases():
+        if any(g.is_loop(e) for e in g.edges):
+            covers.append(local_cover(g, r, coset_limit=limit,
+                                      truncation_radius=radius))
+    assert any(isinstance(c, TruncatedCover) and not c.table_covers_ball
+               for c in covers)
+    lifted = 0
+    for cov in covers:
+        graph = cov.cover if isinstance(cov, Covering) else cov.ball
+        for x in graph.vertices:
+            if not _star_is_visible(cov, graph, x):
+                continue
+            v = cov.projection_vertices[x]
+            for e, w in cov.base.incident(v):
+                walk = Walk((v, w), (e,))
+                up = lift_walk(cov, walk, x)
+                check_walk(graph, up)
+                assert up.start == x
+                assert [cov.projection_vertices[y] for y in up.vertices] == [v, w]
+                assert [cov.projection_edges[f] for f in up.edges] == [e]
+                if v != w:
+                    assert lift_walk(cov, walk.reverse(), up.end) == up.reverse()
+                lifted += 1
+    assert lifted > 1000
+
+
 def test_cayley_graph_of_presentation():
     p = Presentation(("a",), (FreeWord((1, 1, 1, 1)),))
     t = todd_coxeter(p, 100)
