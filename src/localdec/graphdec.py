@@ -264,25 +264,42 @@ def _project_part(cov, graph: Multigraph, vertices) -> Multigraph:
 
 
 def _orbit_quotient(cov, graph: Multigraph, td: TreeDecomposition, nodes,
-                    node_orbits: _UnionFind, edges, edge_orbits: _UnionFind):
+                    edges, node_maps):
     """The decomposition of cov.base whose model is the graph of the orbits
     of the tree nodes `nodes` and tree edges `edges`, with the adhesion
-    size of each model edge.
+    size of each model edge, and the node orbits (least member -> members,
+    as indices into `nodes`).
 
+    The orbits are those that `node_maps` generate: each map, a possibly
+    partial dict from node to node, joins every mapped node with its image
+    and every tree edge with both ends mapped with its image in `edges`.
     Orbits are named h<i> and f<i> in order of their least member; the
     part of a node orbit is the projection of any member, and all members
     must project to the same part.
     """
+    index = {t: i for i, t in enumerate(nodes)}
+    edge_index = {e: i for i, e in enumerate(edges)}
+    node_orbits = _UnionFind(len(nodes))
+    edge_orbits = _UnionFind(len(edges))
+    for m in node_maps:
+        for t, t2 in m.items():
+            node_orbits.union(index[t], index[t2])
+        for e in edges:
+            a, b = td.tree.ends[e]
+            if a in m and b in m:
+                for e2 in td.tree.edges_between(m[a], m[b]):
+                    if e2 in edge_index:
+                        edge_orbits.union(edge_index[e], edge_index[e2])
+    orbits = node_orbits.classes()
     name = {}
     parts = {}
-    for root, members in node_orbits.classes().items():
+    for root, members in orbits.items():
         name[root] = "h%d" % len(name)
         part = _project_part(cov, graph, td.parts[nodes[root]])
         for i in members[1:]:
             if _project_part(cov, graph, td.parts[nodes[i]]) != part:
                 raise PipelineError("projected parts differ along an orbit")
         parts[name[root]] = part
-    index = {t: i for i, t in enumerate(nodes)}
     model_edges = []
     edge_labels = {}
     for root in edge_orbits.classes():
@@ -292,7 +309,7 @@ def _orbit_quotient(cov, graph: Multigraph, td: TreeDecomposition, nodes,
                                 name[node_orbits.find(index[b])])))
         edge_labels[f] = len(td.adhesion(edges[root]))
     model = Multigraph(list(name.values()), model_edges)
-    return GraphDecomposition(cov.base, model, parts), edge_labels
+    return GraphDecomposition(cov.base, model, parts), edge_labels, orbits
 
 
 def quotient_decomposition(cov: Covering, td: TreeDecomposition) -> GraphDecomposition:
@@ -312,26 +329,18 @@ def _verified_quotient(cov: Covering, td: TreeDecomposition):
     """`quotient_decomposition` with its edge labels and axiom report."""
     if td.graph != cov.cover:
         raise DecompositionError("tree-decomposition does not decompose the cover")
-    nodes = list(td.tree.vertices)
-    node_index = {t: i for i, t in enumerate(nodes)}
-    node_orbits = _UnionFind(len(nodes))
-    edges = list(td.tree.edges)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    edge_orbits = _UnionFind(len(edges))
-    for h in range(cov.deck.order):
-        iso = Isomorphism(cov.deck_vertex_map(h), cov.deck_edge_map(h))
-        mapping = node_map_under(td, iso)
+    # the voltages generate the deck group (the derived graph is connected),
+    # so their maps give the orbits, and the group stabilizes the
+    # decomposition exactly when they do
+    node_maps = []
+    for h in sorted(set(cov.voltage.values.values()) - {0}):
+        mapping = node_map_under(td, Isomorphism(cov.deck_vertex_map(h), {}))
         if mapping is None:
             raise DecompositionError(
                 "deck transformation does not stabilize the tree-decomposition")
-        for t, t2 in mapping.items():
-            node_orbits.union(node_index[t], node_index[t2])
-        for e in edges:
-            a, b = td.tree.ends[e]
-            (e2,) = td.tree.edges_between(mapping[a], mapping[b])
-            edge_orbits.union(edge_index[e], edge_index[e2])
-    dec, edge_labels = _orbit_quotient(cov, cov.cover, td, nodes, node_orbits,
-                                       edges, edge_orbits)
+        node_maps.append(mapping)
+    dec, edge_labels, _orbits = _orbit_quotient(
+        cov, cov.cover, td, td.tree.vertices, td.tree.edges, node_maps)
     report = verify_graph_decomposition(cov.base, dec)
     if not report.passed:
         raise DecompositionError(
@@ -556,56 +565,31 @@ def _truncated_decomposition_once(r: int, cov: TruncatedCover,
                   if (td.part_mask(t) | core_mask) == core_mask]
     if not core_nodes:
         raise PipelineError("no tree nodes lie inside the core")
-    if not td.tree.induced(core_nodes).is_connected():
+    core_tree = td.tree.induced(core_nodes)
+    if not core_tree.is_connected():
         raise PipelineError("core of the decomposition tree is disconnected")
-    node_index = {t: i for i, t in enumerate(core_nodes)}
-    node_orbits = _UnionFind(len(core_nodes))
-    core_edges = [e for e in td.tree.edges
-                  if td.tree.ends[e][0] in node_index
-                  and td.tree.ends[e][1] in node_index]
-    edge_index = {e: i for i, e in enumerate(core_edges)}
-    edge_orbits = _UnionFind(len(core_edges))
-
     lookup = {}
     for t in core_nodes:
         lookup.setdefault(frozenset(td.parts[t]), []).append(t)
 
-    def map_node(m, t):
-        image = set()
-        for v in td.parts[t]:
-            w = m.get(v)
-            if w is None:
-                return None
-            image.add(w)
-        cands = lookup.get(frozenset(image), ())
-        # an ambiguous image (two nodes with equal parts) must not merge
-        # orbits silently; under-merging is caught by the witness checks
-        return cands[0] if len(cands) == 1 else None
+    def node_map(m):
+        out = {}
+        for t in core_nodes:
+            cands = lookup.get(frozenset(m.get(v) for v in td.parts[t]), ())
+            # an ambiguous image (two nodes with equal parts) must not merge
+            # orbits silently; under-merging is caught by the witness checks
+            if len(cands) == 1:
+                out[t] = cands[0]
+        return out
 
     # each partial deck map moves the root to another lift of its base
     # vertex; the orbits are what these maps identify inside the core
-    for target in cov.lifts_of(cov.projection_vertices[cov.root]):
-        if target == cov.root:
-            continue
-        m = _transport(cov, cov.ball, cov, cov.ball, cov.root, target, partial=True)
-        if m is None:
-            continue
-        pairs = {}
-        for t in core_nodes:
-            t2 = map_node(m, t)
-            if t2 is not None:
-                pairs[t] = t2
-                node_orbits.union(node_index[t], node_index[t2])
-        for e in core_edges:
-            a, b = td.tree.ends[e]
-            if a in pairs and b in pairs:
-                for e2 in td.tree.edges_between(pairs[a], pairs[b]):
-                    if e2 in edge_index:
-                        edge_orbits.union(edge_index[e], edge_index[e2])
-
-    dec, edge_labels = _orbit_quotient(cov, cov.ball, td, core_nodes, node_orbits,
-                                       core_edges, edge_orbits)
-    orbits = node_orbits.classes()
+    transports = (_transport(cov, cov.ball, cov, cov.ball, cov.root, target, partial=True)
+                  for target in cov.lifts_of(cov.projection_vertices[cov.root])
+                  if target != cov.root)
+    dec, edge_labels, orbits = _orbit_quotient(
+        cov, cov.ball, td, core_nodes, core_tree.edges,
+        (node_map(m) for m in transports if m is not None))
     if any(len(members) < 2 for members in orbits.values()):
         raise PipelineError("an orbit is witnessed only once inside the core",
                             {"orbits": {str(k): len(v) for k, v in orbits.items()}})

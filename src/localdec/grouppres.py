@@ -207,8 +207,11 @@ def deck_group_presentation(g: Multigraph, r: int, x0) -> Presentation:
     """
     if not g.is_connected():
         raise GraphError("deck_group_presentation needs a connected graph")
-    tree = spanning_tree(g, x0)
-    chord_letter = _chord_letters(g, tree)
+    return _deck_presentation(g, r, _chord_letters(g, spanning_tree(g, x0)))
+
+
+def _deck_presentation(g: Multigraph, r: int, chord_letter: dict) -> Presentation:
+    """`deck_group_presentation` on the chord letters of its tree."""
     relators = [FreeWord(_walk_letters(g, chord_letter, cyc.walk_once_around()))
                 for cyc in enumerate_short_cycles(g, r)]
     return Presentation([str(e) for e in chord_letter], relators)

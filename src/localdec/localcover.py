@@ -29,7 +29,8 @@ from localdec.grouppres import (
     Presentation,
     _chord_letters,
     _coset_tables,
-    deck_group_presentation,
+    _deck_presentation,
+    _walk_letters,
     table_to_group,
 )
 from localdec.multigraph import (
@@ -400,9 +401,9 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     if not g.is_connected():
         raise CoverError("local covers need a connected base graph")
     x0 = g.vertices[0]
-    pres = deck_group_presentation(g, r, x0)
-    table, table2 = _coset_tables(pres, (coset_limit, 2 * coset_limit))
     chord_letter = _chord_letters(g, spanning_tree(g, x0))
+    pres = _deck_presentation(g, r, chord_letter)
+    table, table2 = _coset_tables(pres, (coset_limit, 2 * coset_limit))
     if table.complete:
         deck = table_to_group(table)
         values = dict.fromkeys(g.edges, 0)
@@ -463,10 +464,15 @@ def lift_walk(cov, w: Walk, start) -> Walk:
         raise CoverError("unknown cover object %r" % (cov,))
     g = cov.base
     check_walk(g, w)
+    graph = _graph_of(cov)
+    if not graph.has_vertex(start):
+        raise CoverError("start vertex %r is not in the cover" % (start,))
+    if isinstance(cov, TruncatedCover) and cov.table is None:
+        raise CoverError("truncated cover has no coset table to lift along, "
+                         "as when read back from JSON")
     v0, cur = cov.coordinates(start)
     if v0 != w.start:
         raise CoverError("start vertex does not project to the walk start")
-    graph = _graph_of(cov)
     verts = [start]
     edges = []
     for k, e in enumerate(w.edges):
@@ -631,21 +637,6 @@ def cayley_graph_of_presentation(p: Presentation, table: CosetTable) -> Labelled
     return cayley_graph(group, gens)
 
 
-def _walk_label_word(cay: LabelledGraph, w: Walk) -> FreeWord:
-    g = cay.graph
-    index = {name: i + 1 for i, name in enumerate(cay.generators)}
-    letters = []
-    for k, e in enumerate(w.edges):
-        a = w.vertices[k]
-        tail, head = g.ends[e]
-        letter = index[cay.labels[e]]
-        if a == tail:
-            letters.append(letter)
-        else:
-            letters.append(-letter)
-    return FreeWord(letters)
-
-
 def local_group_extension(cay: LabelledGraph, r: int,
                           ball_radius: Optional[int] = None) -> Presentation:
     """Presentation on the edge labels whose relators are the label words of
@@ -660,6 +651,8 @@ def local_group_extension(cay: LabelledGraph, r: int,
     x0 = cay.identity_vertex
     if not cay.graph.has_vertex(x0):
         raise CoverError("identity vertex %r missing" % (x0,))
+    index = {name: i + 1 for i, name in enumerate(cay.generators)}
+    letter = {e: index[cay.labels[e]] for e in cay.graph.edges}
     words = set()
     for cyc in cycles_through_vertex(cay.graph, x0, r):
         walks = []
@@ -671,7 +664,7 @@ def local_group_extension(cay: LabelledGraph, r: int,
         if cyc.length > 1:
             walks.append(once.reverse())
         for w in walks:
-            word = _walk_label_word(cay, w)
+            word = FreeWord(_walk_letters(cay.graph, letter, w))
             if word.is_empty():
                 continue
             inv = word.inverse()

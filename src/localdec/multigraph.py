@@ -411,58 +411,30 @@ class CycleSubgraph:
         return Walk(self.vertices + (self.vertices[0],), self.edges)
 
 
-def _cycle_from_edge_set(g: Multigraph, eset) -> CycleSubgraph:
-    edges = sorted(eset, key=g.epos)
-    if len(edges) == 1:
-        e = edges[0]
-        u, v = g.ends[e]
-        if u != v:
-            raise GraphError("single non-loop edge is not a cycle")
-        return CycleSubgraph((u,), (e,))
-    if len(edges) == 2:
-        e, f = edges
-        if set(g.ends[e]) != set(g.ends[f]) or g.is_loop(e):
-            raise GraphError("two edges form a cycle only as a parallel pair")
-        u, v = sorted(g.ends[e], key=g.vpos)
-        return CycleSubgraph((u, v), (e, f))
-    inc = {}
-    for e in edges:
-        u, v = g.ends[e]
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
-    for v, pairs in inc.items():
-        if len(pairs) != 2:
-            raise GraphError("edge set is not 2-regular at %r" % (v,))
-    start = min(inc, key=g.vpos)
-    first = min(inc[start], key=lambda p: g.vpos(p[1]))
-    vs = [start]
-    es = [first[0]]
-    cur = first[1]
-    prev_edge = first[0]
-    while cur != start:
-        vs.append(cur)
-        a, b = inc[cur]
-        nxt = a if a[0] != prev_edge else b
-        es.append(nxt[0])
-        prev_edge = nxt[0]
-        cur = nxt[1]
-    if len(vs) != len(edges):
-        raise GraphError("edge set is not a single cycle")
+def _canonical_cycle(g: Multigraph, vs, es) -> CycleSubgraph:
+    """The cycle vs/es (es[i] joining vs[i] and vs[i+1], cyclically) from its
+    lowest vertex toward its lower neighbour; a parallel pair lists its
+    edges in edge order."""
+    i = min(range(len(vs)), key=lambda j: g.vpos(vs[j]))
+    vs, es = vs[i:] + vs[:i], es[i:] + es[:i]
+    if len(es) > 1 and ((g.vpos(vs[-1]), g.epos(es[-1]))
+                        < (g.vpos(vs[1]), g.epos(es[0]))):
+        vs, es = vs[:1] + vs[:0:-1], es[::-1]
     return CycleSubgraph(tuple(vs), tuple(es))
 
 
 def _cycles_through(g: Multigraph, s, r: int, min_anchor: bool):
-    """Edge sets of cycles of length <= r through s.
+    """The cycles of length <= r (r >= 1) through s, each once, as canonical
+    `CycleSubgraph`s.
 
-    With min_anchor the search only reports cycles whose lowest vertex is
-    s (used to list each cycle of the graph exactly once).
+    The search grows simple paths from s and closes them at s, keeping one
+    direction of each cycle and one edge order of each parallel pair.  With
+    min_anchor it only visits vertices above s, so it reports just the
+    cycles whose lowest vertex is s (each cycle of the graph is found from
+    one start), and those paths are canonical as found.
     """
     spos = g.vpos(s)
-    out = set()
-    if r >= 1:
-        for e, w in g.incident(s):
-            if w == s:
-                out.add(frozenset((e,)))
+    out = [CycleSubgraph((s,), (e,)) for e, w in g.incident(s) if w == s]
     if r < 2:
         return out
     dist = g.distances(s, cap=r)
@@ -478,14 +450,9 @@ def _cycles_through(g: Multigraph, s, r: int, min_anchor: bool):
             if e in path_e:
                 continue
             if w == s:
-                if depth == 0:
-                    continue
-                if depth == 1:
-                    if g.epos(path_e[0]) < g.epos(e):
-                        out.add(frozenset((path_e[0], e)))
-                else:
-                    if g.vpos(path_v[1]) < g.vpos(u):
-                        out.add(frozenset(path_e + [e]))
+                if (g.epos(path_e[0]) < g.epos(e) if depth == 1
+                        else g.vpos(path_v[1]) < g.vpos(u)):
+                    out.append(_canonical_cycle(g, path_v, path_e + [e]))
                 continue
             if w in path_set:
                 continue
@@ -508,26 +475,22 @@ def _cycles_through(g: Multigraph, s, r: int, min_anchor: bool):
     return out
 
 
-def enumerate_short_cycles(g: Multigraph, r: int):
-    """All cycle subgraphs of length <= r, each once, in canonical order."""
+def _short_cycles(g: Multigraph, starts, r: int, min_anchor: bool):
     if r < 1:
         return []
-    found = set()
-    for s in g.vertices:
-        found |= _cycles_through(g, s, r, min_anchor=True)
-    cycles = [_cycle_from_edge_set(g, es) for es in found]
-    cycles.sort(key=lambda c: (c.length, tuple(sorted(g.epos(e) for e in c.edges))))
+    cycles = [c for s in starts for c in _cycles_through(g, s, r, min_anchor)]
+    cycles.sort(key=lambda c: (c.length, sorted(g.epos(e) for e in c.edges)))
     return cycles
+
+
+def enumerate_short_cycles(g: Multigraph, r: int):
+    """All cycle subgraphs of length <= r, each once, in canonical order."""
+    return _short_cycles(g, g.vertices, r, min_anchor=True)
 
 
 def cycles_through_vertex(g: Multigraph, v, r: int):
     """All cycle subgraphs of length <= r that contain v, canonically ordered."""
-    if r < 1:
-        return []
-    found = _cycles_through(g, v, r, min_anchor=False)
-    cycles = [_cycle_from_edge_set(g, es) for es in found]
-    cycles.sort(key=lambda c: (c.length, tuple(sorted(g.epos(e) for e in c.edges))))
-    return cycles
+    return _short_cycles(g, (v,), r, min_anchor=False)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +662,7 @@ def cycle_space_basis(g: Multigraph) -> BinaryCycleSpace:
 
 def short_cycles_span(g: Multigraph, r: int) -> bool:
     """Do the cycles of length <= r span the whole binary cycle space?"""
-    space = cycle_space_basis(g)
-    target = space.dim
+    target = len(g.edges) - len(g.vertices) + len(g.components())
     if target == 0:
         return True
     basis = {}

@@ -21,9 +21,16 @@ from localdec.graphdec import (
 )
 from localdec.grouppres import FiniteGroup
 from localdec.localcover import Covering, VoltageAssignment, local_cover
-from localdec.multigraph import Multigraph, UNDECIDED, automorphisms, isomorphic, spanning_tree
+from localdec.multigraph import (
+    Isomorphism,
+    Multigraph,
+    UNDECIDED,
+    automorphisms,
+    isomorphic,
+    spanning_tree,
+)
 from localdec.tangles import canonical_nested_set
-from localdec.treedecomp import induce_tree_decomposition
+from localdec.treedecomp import induce_tree_decomposition, node_map_under
 
 from test_multigraph import complete_graph, cycle_graph, path_graph, random_connected_graph
 from test_tangles import glued_cliques, two_k5s
@@ -294,6 +301,27 @@ def test_quotient_rejects_non_deck_invariant_tree():
     broken = induce_tree_decomposition(cov.cover, lone)
     with pytest.raises(DecompositionError):
         quotient_decomposition(cov, broken)
+
+
+@pytest.mark.parametrize("make_cover", [bowtie_z2_cover, bowtie_z3_cover, paw_z2_cover])
+def test_quotient_has_one_model_node_and_edge_per_deck_orbit(make_cover):
+    # oracle: the orbits under every deck element, not only under the
+    # voltages (bowtie/Z3 has voltages {0, 1} and deck elements {1, 2})
+    cov = make_cover()
+    td = deck_canonical_td(cov)
+    tree = td.tree
+    maps = [node_map_under(td, Isomorphism(cov.deck_vertex_map(h), cov.deck_edge_map(h)))
+            for h in range(cov.deck.order)]
+    node_orbits = {frozenset(m[t] for m in maps) for t in tree.vertices}
+    edge_orbits = set()
+    for e in tree.edges:
+        a, b = tree.ends[e]
+        edge_orbits.add(frozenset(f for m in maps for f in tree.edges_between(m[a], m[b])))
+    assert sum(len(o) for o in node_orbits) == tree.n_vertices()
+    assert sum(len(o) for o in edge_orbits) == tree.n_edges()
+    dec = quotient_decomposition(cov, td)
+    assert dec.model.n_vertices() == len(node_orbits)
+    assert dec.model.n_edges() == len(edge_orbits)
 
 
 def test_quotient_axioms_on_random_finite_covers():

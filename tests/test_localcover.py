@@ -342,6 +342,23 @@ def test_trivial_walk_lifts_trivially():
     assert lift_walk(cov, w, start) == Walk.trivial(start)
 
 
+def test_lift_walk_refuses_a_start_outside_the_cover():
+    g = cycle_graph(5)
+    for r in (5, 4):  # a Covering, then a TruncatedCover
+        cov = local_cover(g, r, coset_limit=400)
+        with pytest.raises(CoverError, match="not in the cover"):
+            lift_walk(cov, Walk((0, 1), ("e0",)), "nope")
+
+
+def test_lift_walk_refuses_a_truncated_cover_read_back_from_json():
+    from localdec.cli import _cover_from_json
+    cov = local_cover(cycle_graph(5), 4, coset_limit=400, truncation_radius=10)
+    back = _cover_from_json(cov.to_json_obj(), 4)
+    assert isinstance(back, TruncatedCover)
+    with pytest.raises(CoverError, match="no coset table"):
+        lift_walk(back, Walk(("0", "1"), ("e0",)), back.root)
+
+
 def test_shrink_truncated_reuses_table():
     from localdec.localcover import shrink_truncated
     big = local_cover(cycle_graph(5), 4, coset_limit=400, truncation_radius=10)

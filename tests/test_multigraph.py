@@ -17,6 +17,7 @@ from localdec.multigraph import (
     automorphisms,
     ball,
     cycle_space_basis,
+    cycles_through_vertex,
     edge_vector,
     enumerate_short_cycles,
     fundamental_walks,
@@ -391,6 +392,31 @@ def test_cycle_canonical_orientation():
     (cyc,) = enumerate_short_cycles(g, 3)
     assert cyc.vertices[0] == 0
     assert cyc.vertices[1] == 1
+
+
+def test_short_cycles_are_canonical_on_shuffled_loopy_graphs():
+    rng = random.Random(29)
+    for _ in range(60):
+        base = random_multigraph(rng, rng.randrange(1, 7), rng.randrange(0, 9), True)
+        vs = list(base.vertices)
+        es = [(e, base.ends[e][::rng.choice((1, -1))]) for e in base.edges]
+        rng.shuffle(vs)
+        rng.shuffle(es)
+        g = Multigraph(vs, es)
+        for r in range(1, 7):
+            every = enumerate_short_cycles(g, r)
+            for v in g.vertices:
+                assert cycles_through_vertex(g, v, r) == [
+                    c for c in every if v in c.vertices]
+            for c in every:
+                k = c.length
+                assert c.vertices[0] == min(c.vertices, key=g.vpos)
+                for i, e in enumerate(c.edges):
+                    assert set(g.ends[e]) == {c.vertices[i], c.vertices[(i + 1) % k]}
+                if k >= 3:
+                    assert g.vpos(c.vertices[1]) < g.vpos(c.vertices[-1])
+                if k == 2:
+                    assert g.epos(c.edges[0]) < g.epos(c.edges[1])
 
 
 # ---------------------------------------------------------------------------
