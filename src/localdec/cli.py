@@ -1,8 +1,9 @@
 """Command line interface: batch commands over JSON graph files.
 
-Exit codes: 0 exact success, 1 verification failure, 2 input error,
-3 certified-heuristic success, 4 uncertified.  Outputs are deterministic;
-running a command twice on the same input produces identical bytes.
+Exit codes: 0 exact success, 1 verification failure or a failed internal
+check, 2 input error, 3 certified-heuristic success, 4 uncertified.
+Outputs are deterministic; running a command twice on the same input
+produces identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from localdec.localcover import (
     verify_ball_preservation,
     verify_cover_cycle_space,
 )
-from localdec.multigraph import GraphError, Multigraph, UNDECIDED
+from localdec.multigraph import GraphError, InvariantError, Multigraph, UNDECIDED
 from localdec.tangles import canonical_nested_set
 from localdec.treedecomp import (
     TreeDecomposition,
@@ -366,6 +367,9 @@ def main(argv=None) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT_ERROR
+    except InvariantError as exc:
+        sys.stderr.write("error: internal check failed: %s\n" % exc)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ class MalformedWalkError(GraphError):
     """A walk violates the incidence structure of its host graph."""
 
 
+class InvariantError(Exception):
+    """A check that holds by construction failed: a library fault, not bad input."""
+
+
 class _Undecided:
     """Explicit 'search budget exceeded' result.  Never a wrong answer."""
 

@@ -22,17 +22,25 @@ G[V - beta(X)] contains every other small side with separator X.  Every
 such side is an induced subgraph.  When it lies inside a chosen maximal
 small side, every other component's side covers the graph together with
 that member, so beta(X) is the only branch.
+
+The choice string of a tangle (one byte per sorted separation) is built
+per separator: the separations with separator X form one block, oriented
+by a byte pattern fixed by beta(X), and one gather through positions the
+universe records once puts the joined patterns in sorted order.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
-from localdec.multigraph import GraphError, Multigraph
+from localdec.multigraph import GraphError, InvariantError, Multigraph
 
 
 class BudgetError(GraphError):
@@ -114,13 +122,16 @@ def _components_masks(adj, pool: int):
 def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
                   budget: int):
     """Every separation of order < max_order (the improper ones only if
-    requested) as the pair (a, b) of its side vertex masks with a <= b,
-    sorted by (order, a, b); the order boundaries: ends[o] separations
-    have order < o; and every separator X of order < max_order that
-    leaves at least two components, as (X, components of G - X), by |X|.
+    requested) as (a, b, position) with side vertex masks a <= b, sorted
+    by (order, a, b); the order boundaries: ends[o] separations have order
+    < o; and every separator X of order < max_order that leaves at least
+    two components, as (X, components of G - X), by |X|.
 
     A separation with separator X is a choice of a bipartition of the
-    components of G - X, each side being X plus its components.
+    components c_0..c_{c-1} of G - X, each side being X plus its components:
+    pick p < m = 2^(c-1) - 1 puts c_0 and each c_j with bit j - 1 of p set
+    on side a.  X owns the next block of 2m positions; pick p sits at p if
+    a <= b, else at m + p.  Improper separations get position 0.
     """
     bits = g.bits()
     vall, adj = bits.vall, bits.adj
@@ -134,6 +145,7 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
     out = []
     ends = [0]
     separators = []
+    base = 0
     for size in range(0, top):
         bucket = []
         for combo in combinations(range(n), size):
@@ -143,18 +155,17 @@ def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
             comps = _components_masks(adj, vall & ~x)
             if len(comps) >= 2:
                 separators.append((x, tuple(comps)))
-                for pick in range(1 << (len(comps) - 1)):
-                    a, b = comps[0] | x, x
-                    for j in range(1, len(comps)):
-                        if pick >> (j - 1) & 1:
-                            a |= comps[j]
-                        else:
-                            b |= comps[j]
-                    if b == x and not include_improper:
-                        continue
-                    bucket.append((a, b) if a <= b else (b, a))
-            elif include_improper:
-                bucket.append((x, vall))
+                m = (1 << (len(comps) - 1)) - 1
+                sides = [comps[0] | x]
+                for p in range(1, m):
+                    # p without its lowest bit, plus that bit's component
+                    sides.append(sides[p & (p - 1)] | comps[(p & -p).bit_length()])
+                for p, a in enumerate(sides):
+                    b = (vall & ~a) | x
+                    bucket.append((a, b, base + p) if a <= b else (b, a, base + m + p))
+                base += 2 * m
+            if include_improper:
+                bucket.append((x, vall, 0))
         bucket.sort()
         # copy the shorter list into the longer one, to keep the peak low
         if len(bucket) > len(out):
@@ -178,7 +189,7 @@ def enumerate_separations(g: Multigraph, max_order: int,
     """
     full = g.bits().vall
     sides, _, _ = _sorted_sides(g, max_order, include_improper, budget)
-    return [Separation(a, b, full) for a, b in sides]
+    return [Separation(a, b, full) for a, b, _ in sides]
 
 
 def is_tight(g: Multigraph, s: Separation) -> bool:
@@ -212,16 +223,23 @@ def is_tight(g: Multigraph, s: Separation) -> bool:
 
 class SeparationUniverse:
     """All proper separations of order < max_order, and their separators
-    with the components each one leaves."""
+    with the components each one leaves.  `_perm[i]` is the block position
+    of separation i (see `_sorted_sides`); blocks are laid out by |X|, so
+    the separations of order < k have their positions in a prefix."""
 
-    __slots__ = ("graph", "max_order", "seps", "separators", "_ends", "_side_data")
+    __slots__ = ("graph", "max_order", "seps", "separators", "_ends", "_perm",
+                 "_side_data")
 
     def __init__(self, g: Multigraph, max_order: int, budget: int = 5_000_000):
         self.graph = g
         self.max_order = max_order
-        sides, self._ends, self.separators = _sorted_sides(g, max_order, False, budget)
+        seps, self._ends, self.separators = _sorted_sides(g, max_order, False, budget)
+        self._perm = array("I", map(itemgetter(2), seps))
         full = g.bits().vall
-        self.seps = [Separation(a, b, full) for a, b in sides]
+        # replace the records in place, so that the two lists never coexist
+        for i, (a, b, _) in enumerate(seps):
+            seps[i] = Separation(a, b, full)
+        self.seps = seps
         self._side_data = None
 
     @property
@@ -361,14 +379,23 @@ def _no_tangles_at_all(g: Multigraph, k: int) -> bool:
 
 
 def _dominant_component(ant, comps, vall: int) -> int:
-    """The component c whose side G[V - c] lies in a member of the
-    antichain, or 0.  Sides are induced subgraphs, so vertex containment
-    decides."""
+    """The index of the component c whose side G[V - c] lies in a member
+    of the antichain, or -1.  Sides are induced subgraphs, so vertex
+    containment decides."""
     for av, _ in ant:
-        for c in comps:
+        for j, c in enumerate(comps):
             if (av | c) == vall:
-                return c
-    return 0
+                return j
+    return -1
+
+
+@lru_cache(maxsize=16)
+def _choice_patterns(c: int) -> tuple:
+    """Per component j of c, the choice bytes of the block when beta is
+    component j: per pick, 1 if j = 0, else bit j - 1; then complemented."""
+    m = (1 << (c - 1)) - 1
+    heads = [[1] * m] + [[p >> (j - 1) & 1 for p in range(m)] for j in range(1, c)]
+    return tuple(bytes(head + [1 - b for b in head]) for head in heads)
 
 
 def _tangles_over_prefix(uni: SeparationUniverse, k: int):
@@ -386,6 +413,10 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
     on the other picks.  Triples of forced sides alone are ruled out once,
     up front.  Separation i gets choice 0 exactly when beta of its
     separator lies in its B side.
+
+    Each pick keeps its block's byte pattern; at a leaf the joined
+    patterns gather through `_perm`, one step per separator, not per
+    separation.
     """
     g = uni.graph
     if _no_tangles_at_all(g, k):
@@ -396,10 +427,14 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
     cap = k - 1
     separators = [s for s in uni.separators if s[0].bit_count() < k]
     end = len(separators)
+    patterns = {c: _choice_patterns(c) for c in {len(cs) for _, cs in separators}}
+    perm = uni._perm[: uni.prefix_len(k)]
+    # itemgetter returns a bare item, not a tuple, for a single index
+    gather = itemgetter(*perm) if len(perm) > 1 else lambda s: [s[i] for i in perm]
     # per separator, the edge mask of each side G[V - beta], or None when
     # that side plus two forced sides covers the graph; filled on first use
     side_edges = [None] * end
-    picks = [0] * end          # the component picked at each depth
+    picks = [b""] * end        # the pattern of the component picked at each depth
     nexts = [0] * end          # the next component to try there, 0 on entry
     ants = [[]] + [None] * end  # the maximal small sides (v, e) on entry
     results = []
@@ -420,9 +455,7 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
     depth = 0
     while depth >= 0:
         if depth == end:
-            beta = dict(zip((x for x, _ in separators), picks))
-            results.append(bytes([0 if beta[s.a_mask & s.b_mask] & s.b_mask else 1
-                                  for s in uni.seps[: uni.prefix_len(k)]]))
+            results.append(bytes(gather(b"".join(picks))))
             depth -= 1
             continue
         ant = ants[depth]
@@ -430,9 +463,9 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
         i = nexts[depth]
         if i == 0:
             dominant = _dominant_component(ant, comps, vall)
-            if dominant:
+            if dominant >= 0:
                 # its side lies in a member, so it is the only branch
-                picks[depth] = dominant
+                picks[depth] = patterns[len(comps)][dominant]
                 nexts[depth] = len(comps)
                 ants[depth + 1] = ant
                 depth += 1
@@ -447,7 +480,7 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
             i += 1
             v = vall & ~c
             if e is not None and admissible(ant, v, e):
-                picks[depth] = c
+                picks[depth] = patterns[len(comps)][i - 1]
                 nexts[depth] = i
                 ants[depth + 1] = [m for m in ant if (m[0] | v) != v] + [(v, e)]
                 depth += 1
@@ -618,15 +651,12 @@ def _efficient_distinguisher_indices(uni: SeparationUniverse, t1: Tangle, t2: Ta
     """Indices of the efficient distinguishers, scanning order classes lazily."""
     common = min(len(t1.choices), len(t2.choices))
     c1, c2 = t1.choices, t2.choices
-    i = 0
-    while i < common:
-        o = uni.seps[i].order
-        j = i
-        while j < common and uni.seps[j].order == o:
-            j += 1
+    for i, j in zip(uni._ends, uni._ends[1:]):
+        if i >= common:
+            break
+        j = min(j, common)
         if c1[i:j] != c2[i:j]:
             return [x for x in range(i, j) if c1[x] != c2[x]]
-        i = j
     return []
 
 
@@ -713,13 +743,13 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
     seps = [uni.seps[i] for i in indices]
     for s, t in combinations(seps, 2):
         if crossing(s, t):
-            raise GraphError("canonical nested set contains a crossing pair")
+            raise InvariantError("canonical nested set contains a crossing pair")
     for s in seps:
         if not is_tight(g, s):
-            raise GraphError("canonical nested set contains a non-tight separation")
+            raise InvariantError("canonical nested set contains a non-tight separation")
     for pair, eff in pair_eff.items():
         if not any(i in chosen for i in eff):
-            raise GraphError("a distinguishable pair lost all its distinguishers")
+            raise InvariantError("a distinguishable pair lost all its distinguishers")
 
     invariance = None
     if check_invariance:

@@ -96,6 +96,19 @@ def test_tangles_and_tree_commands(tmp_path):
     assert "k=1" in dot.read_text()
 
 
+def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys):
+    # a nested set that fails its own post-check is a fault of the
+    # library, not an input error (exit 2)
+    import localdec.tangles as tangles_mod
+    from test_tangles import glued_cliques
+    monkeypatch.setattr(tangles_mod, "crossing", lambda s, t: True)
+    inp = write_graph(tmp_path / "g.json", glued_cliques(3))
+    code = run("tree", "--input", inp, "--max-tangle-order", "3",
+               "--out", str(tmp_path / "tree.json"))
+    assert code == 1
+    assert "canonical nested set contains a crossing pair" in capsys.readouterr().err
+
+
 def test_decompose_necklace_and_verify_round_trip(tmp_path):
     inp = write_graph(tmp_path / "neck.json", necklace(4))
     out = tmp_path / "dec.json"

@@ -438,6 +438,55 @@ def test_tangles_match_oracle_in_order_on_loopy_multigraphs():
         assert [t.choices for t in enumerate_tangles(uni, k)] == tangle_oracle(uni, k)
 
 
+def hub(clique, leaves):
+    """K_clique (K_1 for a star) with `leaves` pendant vertices at vertex 0,
+    a loop at the last leaf and a second edge to the first leaf: removing
+    vertex 0 leaves up to leaves + 1 components."""
+    verts = list(range(clique + leaves))
+    pairs = list(combinations(range(clique), 2))
+    pairs += [(0, clique + i) for i in range(leaves)]
+    pairs += [(0, clique), (verts[-1], verts[-1])]
+    return Multigraph(verts, [(f"h{i}", p) for i, p in enumerate(pairs)])
+
+
+def hub_cases():
+    cases = [(hub(5, 4), k) for k in (2, 3, 4)]
+    cases += [(hub(5, 6), k) for k in (2, 3)]
+    cases += [(hub(1, leaves), 2) for leaves in (5, 6, 7)]
+    return cases
+
+
+def test_many_component_separators_give_the_oracle_tangles_in_order():
+    found = set()
+    for g, k in hub_cases():
+        uni = SeparationUniverse(g, k)
+        assert max(len(comps) for _, comps in uni.separators) >= 5
+        choices = [t.choices for t in enumerate_tangles(uni, k)]
+        assert choices == tangle_oracle(uni, k)
+        if choices:
+            found.add(k)
+    assert {3, 4} <= found
+
+
+def test_many_component_separators_match_brute_force_separations():
+    for g, k in hub_cases():
+        for improper in (False, True):
+            seps = enumerate_separations(g, k, include_improper=improper)
+            keys = [(s.order, s.a_mask, s.b_mask) for s in seps]
+            assert keys == sorted(set(keys))
+            assert ({(s.a_mask, s.b_mask) for s in seps}
+                    == separations_brute_force(g, k, proper_only=not improper))
+
+
+def test_tangle_choices_do_not_depend_on_the_universe_order():
+    # the choice string of a k-tangle gathers only the first prefix_len(k)
+    # positions, which must not move when the universe holds higher orders
+    for g, k in hub_cases():
+        small = enumerate_tangles(SeparationUniverse(g, k), k)
+        large = enumerate_tangles(SeparationUniverse(g, k + 1), k)
+        assert [t.choices for t in small] == [t.choices for t in large]
+
+
 def test_each_side_tested_once_against_two_forced_sides(monkeypatch):
     import localdec.tangles as tangles_mod
     calls = []
@@ -682,6 +731,26 @@ def test_distinguishers_match_brute_force():
             if expected:
                 m = min(s.order for s in expected)
                 assert eff == [s for s in expected if s.order == m]
+
+
+def test_distinguishers_across_mixed_orders_match_brute_force():
+    checked = 0
+    for g, _ in loopy_multigraph_cases():
+        uni = SeparationUniverse(g, 4)
+        ts = [t for k in range(1, 5) for t in enumerate_tangles(uni, k)]
+        for t1, t2 in combinations(ts, 2):
+            alldiff, eff = distinguishers(t1, t2)
+            common = min(len(t1.choices), len(t2.choices))
+            expected = [uni.seps[i] for i in range(common)
+                        if t1.choices[i] != t2.choices[i]]
+            assert alldiff == expected
+            if expected:
+                m = min(s.order for s in expected)
+                assert eff == [s for s in expected if s.order == m]
+            else:
+                assert eff == []
+            checked += t1.order != t2.order and bool(expected)
+    assert checked >= 40
 
 
 # ---------------------------------------------------------------------------
