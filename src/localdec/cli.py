@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from localdec.graphdec import (
     GraphDecomposition,
@@ -22,6 +21,7 @@ from localdec.graphdec import (
 )
 from localdec.grouppres import (
     abelianized_free_rank,
+    deck_group_presentation,
     todd_coxeter,
 )
 from localdec.localcover import (
@@ -50,34 +50,11 @@ EXIT_CERTIFIED = 3
 EXIT_UNCERTIFIED = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    r: int = 0
-    max_tangle_order: int = 6
-    coset_limit: int = 100_000
-    truncation_radius: int = 10
-    out: str = ""
-    dot: str = ""
-    labelled: bool = False
-
-    COMMANDS = ("cover", "deck-group", "tangles", "tree", "decompose",
-                "verify", "gamma-r")
-
-    def validate(self):
-        if self.command not in self.COMMANDS:
-            raise GraphError("unknown command %r" % self.command)
-        for name in ("max_tangle_order", "coset_limit", "truncation_radius"):
-            if getattr(self, name) < 1:
-                raise GraphError("%s must be positive" % name)
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, obj) -> None:
+def _emit(cfg: argparse.Namespace, obj) -> None:
     text = _dump(obj)
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -86,7 +63,7 @@ def _emit(cfg: RunConfig, obj) -> None:
         sys.stdout.write(text)
 
 
-def _emit_dot(cfg: RunConfig, text: str) -> None:
+def _emit_dot(cfg: argparse.Namespace, text: str) -> None:
     if cfg.dot:
         with open(cfg.dot, "w") as fh:
             fh.write(text)
@@ -97,67 +74,73 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_graph(cfg: RunConfig) -> Multigraph:
-    obj = _load_json(cfg.input_path)
-    return Multigraph.from_json_obj(obj)
+def _require_r(cfg: argparse.Namespace) -> None:
+    if cfg.r < 1:
+        raise GraphError("--r must be at least 1")
+
+
+def _require_connected(g: Multigraph) -> None:
+    if not g.is_connected():
+        raise GraphError("input graph is disconnected")
+
+
+def _load_graph(cfg: argparse.Namespace, needs_r: bool = False) -> Multigraph:
+    """The input graph; the --r check, where the command needs it, comes
+    after the file is read and before the connectivity check."""
+    g = Multigraph.from_json_obj(_load_json(cfg.input))
+    if needs_r:
+        _require_r(cfg)
+    _require_connected(g)
+    return g
+
+
+def _emit_enumeration(cfg: argparse.Namespace, pres, size_key: str) -> bool:
+    """Emit the presentation with its coset enumeration at --coset-limit,
+    the group's size under `size_key`; True when the enumeration closed."""
+    table = todd_coxeter(pres, cfg.coset_limit)
+    obj = pres.to_json_obj()
+    obj["enumeration"] = {
+        "complete": table.complete,
+        size_key: table.n_cosets() if table.complete else None,
+        "coset_limit": cfg.coset_limit,
+        "abelianized_free_rank": abelianized_free_rank(pres),
+    }
+    _emit(cfg, obj)
+    return table.complete
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_cover(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.r < 1:
-        raise GraphError("--r must be at least 1")
-    if not g.is_connected():
-        raise GraphError("input graph is disconnected")
+def cmd_cover(cfg: argparse.Namespace) -> int:
+    g = _load_graph(cfg, needs_r=True)
     cov = local_cover(g, cfg.r, cfg.coset_limit, cfg.truncation_radius)
-    obj = cov.to_json_obj()
-    _emit(cfg, obj)
+    _emit(cfg, cov.to_json_obj())
     if isinstance(cov, Covering):
         return EXIT_OK
     return EXIT_CERTIFIED if cov.certified else EXIT_UNCERTIFIED
 
 
-def cmd_deck_group(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.r < 1:
-        raise GraphError("--r must be at least 1")
-    if not g.is_connected():
-        raise GraphError("input graph is disconnected")
-    from localdec.grouppres import deck_group_presentation
+def cmd_deck_group(cfg: argparse.Namespace) -> int:
+    g = _load_graph(cfg, needs_r=True)
     pres = deck_group_presentation(g, cfg.r, g.vertices[0])
-    table = todd_coxeter(pres, cfg.coset_limit)
-    obj = pres.to_json_obj()
-    obj["enumeration"] = {
-        "complete": table.complete,
-        "cosets": table.n_cosets() if table.complete else None,
-        "coset_limit": cfg.coset_limit,
-        "abelianized_free_rank": abelianized_free_rank(pres),
-    }
-    _emit(cfg, obj)
-    return EXIT_OK if table.complete else EXIT_CERTIFIED
+    return EXIT_OK if _emit_enumeration(cfg, pres, "cosets") else EXIT_CERTIFIED
 
 
-def cmd_tangles(cfg: RunConfig) -> int:
+def cmd_tangles(cfg: argparse.Namespace) -> int:
     g = _load_graph(cfg)
-    if not g.is_connected():
-        raise GraphError("input graph is disconnected")
     ns = canonical_nested_set(g, cfg.max_tangle_order)
-    obj = {
+    _emit(cfg, {
         "max_tangle_order": cfg.max_tangle_order,
         "tangles": [t.to_json_obj() for t in ns.tangles],
         "canonical_nested_set": ns.to_json_obj(),
-    }
-    _emit(cfg, obj)
+    })
     return EXIT_OK
 
 
-def cmd_tree(cfg: RunConfig) -> int:
+def cmd_tree(cfg: argparse.Namespace) -> int:
     g = _load_graph(cfg)
-    if not g.is_connected():
-        raise GraphError("input graph is disconnected")
     ns = canonical_nested_set(g, cfg.max_tangle_order)
     td = induce_tree_decomposition(g, ns)
     obj = td.to_json_obj()
@@ -168,12 +151,8 @@ def cmd_tree(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.r < 1:
-        raise GraphError("--r must be at least 1")
-    if not g.is_connected():
-        raise GraphError("input graph is disconnected")
+def cmd_decompose(cfg: argparse.Namespace) -> int:
+    g = _load_graph(cfg, needs_r=True)
     try:
         res = decompose(g, cfg.r, cfg.max_tangle_order, cfg.coset_limit,
                         cfg.truncation_radius)
@@ -199,25 +178,13 @@ def _stringify(obj):
     return str(obj)
 
 
-def cmd_gamma_r(cfg: RunConfig) -> int:
+def cmd_gamma_r(cfg: argparse.Namespace) -> int:
     if not cfg.labelled:
         raise GraphError("gamma-r needs a labelled Cayley graph (--labelled)")
-    if cfg.r < 1:
-        raise GraphError("--r must be at least 1")
-    obj = _load_json(cfg.input_path)
-    cay = LabelledGraph.from_json_obj(obj)
-    if not cay.graph.is_connected():
-        raise GraphError("input graph is disconnected")
-    pres = local_group_extension(cay, cfg.r)
-    table = todd_coxeter(pres, cfg.coset_limit)
-    out = pres.to_json_obj()
-    out["enumeration"] = {
-        "complete": table.complete,
-        "order": table.n_cosets() if table.complete else None,
-        "coset_limit": cfg.coset_limit,
-        "abelianized_free_rank": abelianized_free_rank(pres),
-    }
-    _emit(cfg, out)
+    _require_r(cfg)
+    cay = LabelledGraph.from_json_obj(_load_json(cfg.input))
+    _require_connected(cay.graph)
+    _emit_enumeration(cfg, local_group_extension(cay, cfg.r), "order")
     return EXIT_OK
 
 
@@ -266,7 +233,7 @@ def _cover_from_json(obj: dict, r: int):
     root = obj["root"]
     certs = dict(obj.get("certificates", {}))
     return TruncatedCover(base, graph, root, obj["radius"], proj_v, proj_e,
-                          None, None, graph.distances(root), r, certs,
+                          None, graph.distances(root), r, certs,
                           certs.get("table_covers_ball", True))
 
 
@@ -299,8 +266,8 @@ def _verify_tree_artifact(obj: dict) -> dict:
     return verify_tree_decomposition(base, td).to_json_obj()
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input_path)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    obj = _load_json(cfg.input)
     if "H" in obj and "parts" in obj:
         report = _verify_decomposition_artifact(obj)
         report["artifact"] = "decomposition"
@@ -324,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localdec",
         description="local covers, tangles and canonical graph decompositions")
-    parser.add_argument("command", choices=RunConfig.COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--r", type=int, default=0, help="locality parameter")
     parser.add_argument("--max-tangle-order", type=int, default=6)
@@ -350,20 +317,11 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        r=args.r,
-        max_tangle_order=args.max_tangle_order,
-        coset_limit=args.coset_limit,
-        truncation_radius=args.truncation_radius,
-        out=args.out,
-        dot=args.dot,
-        labelled=args.labelled,
-    )
     try:
-        cfg.validate()
-        return _DISPATCH[cfg.command](cfg)
+        for name in ("max_tangle_order", "coset_limit", "truncation_radius"):
+            if getattr(args, name) < 1:
+                raise GraphError("%s must be positive" % name)
+        return _DISPATCH[args.command](args)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT_ERROR

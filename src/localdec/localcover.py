@@ -205,7 +205,6 @@ class TruncatedCover:
     projection_vertices: dict
     projection_edges: dict
     table: CosetTable
-    presentation: Presentation
     depths: dict
     locality: int
     certificates: dict = field(default_factory=dict)
@@ -268,7 +267,7 @@ def _crossing(step, c, e, forward: bool):
 
 
 def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
-                radius: int, locality: int, presentation: Presentation):
+                radius: int, locality: int):
     """Breadth-first ball of the partial derived graph around (x0, coset 0)."""
     def step(c, e, forward):
         return _table_step(table, chord_letter, c, e, forward)
@@ -321,10 +320,9 @@ def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
 
     edges.sort(key=lambda item: (g.epos(proj_e[item[0]]), item[0]))
     return TruncatedCover(g, Multigraph(verts, edges), vid[root], radius, proj_v,
-                          proj_e, table, presentation,
-                          {vid[k]: d for k, d in depths.items()}, locality,
-                          table_covers_ball=complete, _chord_letter=chord_letter,
-                          _coord=coord)
+                          proj_e, table, {vid[k]: d for k, d in depths.items()},
+                          locality, table_covers_ball=complete,
+                          _chord_letter=chord_letter, _coord=coord)
 
 
 def _transport(c1, g1, c2, g2, x1, x2, partial: bool = False) -> Optional[dict]:
@@ -412,7 +410,7 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
             values[e] = image if letter > 0 else deck.inverse(image)
         voltage = VoltageAssignment(deck, values)
         return Covering(g, deck, voltage, x0)
-    tc = _build_ball(g, table, chord_letter, x0, truncation_radius, r, pres)
+    tc = _build_ball(g, table, chord_letter, x0, truncation_radius, r)
     sep = verify_ball_preservation(tc, r)
     tc.certificates["lift_separation"] = (sep if sep is not UNDECIDED else None)
     if table2.complete:
@@ -421,7 +419,7 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
         tc.certificates["radius_stable"] = False
         tc.certificates["completes_with_larger_budget"] = True
         return tc
-    tc2 = _build_ball(g, table2, chord_letter, x0, truncation_radius, r, pres)
+    tc2 = _build_ball(g, table2, chord_letter, x0, truncation_radius, r)
     pair = _transport(tc, tc.ball, tc2, tc2.ball, tc.root, tc2.root)
     tc.certificates["radius_stable"] = (
         pair is not None
@@ -441,8 +439,7 @@ def shrink_truncated(tc: TruncatedCover, radius: int) -> TruncatedCover:
     if radius > tc.radius:
         raise CoverError("can only shrink a truncated cover")
     out = _build_ball(tc.base, tc.table, tc._chord_letter,
-                      tc.projection_vertices[tc.root], radius, tc.locality,
-                      tc.presentation)
+                      tc.projection_vertices[tc.root], radius, tc.locality)
     sep = verify_ball_preservation(out, tc.locality)
     out.certificates["lift_separation"] = (sep if sep is not UNDECIDED else None)
     out.certificates["radius_stable"] = tc.certificates.get("radius_stable")

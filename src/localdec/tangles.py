@@ -787,5 +787,5 @@ def _check_invariance(g, indices, uni, budget, group) -> Optional[bool]:
             y = _apply_vertex_map_to_mask(g, a, bm)
             mapped.add((x, y) if x <= y else (y, x))
         if mapped != current:
-            raise GraphError("canonical nested set is not automorphism-invariant")
+            raise InvariantError("canonical nested set is not automorphism-invariant")
     return True

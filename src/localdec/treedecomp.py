@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from localdec.multigraph import GraphError, Multigraph
+from localdec.multigraph import UNDECIDED, GraphError, Multigraph, automorphisms
 from localdec.tangles import (
     NestedSet,
     Separation,
@@ -417,20 +417,22 @@ def node_map_under(td: TreeDecomposition, iso) -> Optional[dict]:
     return out
 
 
-def tree_automorphisms_matching(td: TreeDecomposition, iso) -> list:
-    """All tree automorphisms psi with iso(part(t)) = part(psi(t)).
+def tree_automorphisms_matching(td: TreeDecomposition, iso):
+    """All tree automorphisms psi with iso(part(t)) = part(psi(t)), or
+    UNDECIDED when the tree's automorphisms cannot all be listed (see
+    `multigraph.automorphisms`).
 
     Used to confirm that the action of a graph automorphism on a regular
     tree-decomposition is unique.
     """
     tree = td.tree
-    g = td.graph
     target_parts = {}
     for t in tree.vertices:
         target_parts[t] = frozenset(iso.vertex_map[v] for v in td.parts[t])
     out = []
-    from localdec.multigraph import automorphisms as graph_autos
-    autos = graph_autos(tree)
+    autos = automorphisms(tree)
+    if autos is UNDECIDED:
+        return UNDECIDED
     for a in autos:
         if all(frozenset(td.parts[a.vertex_map[t]]) == target_parts[t]
                for t in tree.vertices):

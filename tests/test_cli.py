@@ -8,7 +8,7 @@ import pytest
 from localdec.cli import main
 from localdec.localcover import cayley_graph
 from localdec.grouppres import FiniteGroup
-from localdec.multigraph import Multigraph
+from localdec.multigraph import Isomorphism, Multigraph
 
 from test_multigraph import complete_graph, cycle_graph
 from test_graphdec import necklace
@@ -107,6 +107,25 @@ def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "tree.json"))
     assert code == 1
     assert "canonical nested set contains a crossing pair" in capsys.readouterr().err
+
+
+def test_failed_invariance_check_exits_one(tmp_path, monkeypatch, capsys):
+    # a "group" holding a map that moves the nested set makes the
+    # invariance check fail: a fault of the library, not of the input
+    import localdec.multigraph as multigraph_mod
+    from test_tangles import glued_cliques
+    g = glued_cliques(3)
+    verts = [str(v) for v in g.vertices]   # the names the CLI reads back
+    shift = Isomorphism({v: verts[(i + 1) % len(verts)]
+                         for i, v in enumerate(verts)}, {})
+    monkeypatch.setattr(multigraph_mod, "automorphism_group",
+                        lambda graph, budget=None: ([shift], len(verts)))
+    inp = write_graph(tmp_path / "g.json", g)
+    code = run("tangles", "--input", inp, "--max-tangle-order", "3",
+               "--out", str(tmp_path / "tangles.json"))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: internal check failed: canonical"
+                                       " nested set is not automorphism-invariant\n")
 
 
 def test_decompose_necklace_and_verify_round_trip(tmp_path):
@@ -309,3 +328,58 @@ def test_verify_reports_a_tree_artifact_with_a_cycle(tmp_path):
     assert obj["artifact"] == "tree-decomposition"
     assert obj["is_tree"] is False
     assert obj["regular"] is False
+
+
+_ERROR_INPUTS = {
+    "text.json": "not json",
+    "split.json": json.dumps({"vertices": ["a", "b"], "edges": []}),
+    "edge.json": json.dumps({"vertices": ["a", "b"],
+                             "edges": [{"id": "e", "ends": ["a", "b"]}]}),
+    "lists.json": json.dumps({"vertices": [[1], [2]], "edges": []}),
+    "five.json": "5",
+}
+_MISSING = "error: [Errno 2] No such file or directory: 'nope.json'"
+_R_ERROR = "error: --r must be at least 1"
+
+
+def _error_table():
+    commands = {"cover": ["--r", "1"], "deck-group": ["--r", "1"],
+                "tangles": [], "tree": [], "decompose": ["--r", "1"],
+                "verify": [], "gamma-r": ["--r", "1", "--labelled"]}
+    for cmd, extra in commands.items():
+        yield [cmd, "--input", "nope.json"] + extra, _MISSING
+        yield ([cmd, "--input", "text.json"] + extra,
+               "error: Expecting value: line 1 column 1 (char 0)")
+        for option in ("max_tangle_order", "coset_limit", "truncation_radius"):
+            flag = "--" + option.replace("_", "-")
+            yield ([cmd, "--input", "nope.json", flag, "0"] + extra,
+                   "error: %s must be positive" % option)
+        if cmd == "verify":
+            yield ([cmd, "--input", "five.json"],
+                   "error: argument of type 'int' is not iterable")
+            continue
+        yield ([cmd, "--input", "split.json"] + extra,
+               "error: input graph is disconnected")
+        yield ([cmd, "--input", "lists.json"] + extra,
+               "error: unhashable type: 'list'")
+        if "--r" in extra:
+            flags = extra[2:]   # what follows "--r 1"
+            yield [cmd, "--input", "edge.json", "--r", "0"] + flags, _R_ERROR
+            # gamma-r checks --r before it reads the file, the others after
+            yield ([cmd, "--input", "nope.json", "--r", "0"] + flags,
+                   _R_ERROR if cmd == "gamma-r" else _MISSING)
+    yield (["gamma-r", "--input", "edge.json", "--r", "1"],
+           "error: gamma-r needs a labelled Cayley graph (--labelled)")
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    pytest.param(argv, stderr, id=" ".join(argv)) for argv, stderr in _error_table()])
+def test_error_paths_exit_two_with_one_line(tmp_path, monkeypatch, capsys,
+                                             argv, stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == stderr + "\n"
+    assert captured.out == ""

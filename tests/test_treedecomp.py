@@ -5,7 +5,13 @@ from itertools import combinations, product
 
 import pytest
 
-from localdec.multigraph import GraphError, Isomorphism, Multigraph, automorphisms
+from localdec.multigraph import (
+    UNDECIDED,
+    GraphError,
+    Isomorphism,
+    Multigraph,
+    automorphisms,
+)
 from localdec.tangles import Separation, canonical_nested_set, enumerate_separations
 from localdec.treedecomp import (
     TreeDecomposition,
@@ -214,6 +220,22 @@ def test_group_action_transfers_to_tree():
             assert image_part == set(td.parts[mapping[t]])
         # regular tree-decompositions admit at most one such tree action
         assert len(tree_automorphisms_matching(td, a)) == 1
+
+
+def test_tree_automorphisms_matching_undecided_on_a_large_star():
+    # eleven triangles at one hub: the tree is a star with 11 leaves, whose
+    # 11! automorphisms are more than `automorphisms` lists
+    verts, edges = ["c"], []
+    for i in range(11):
+        a, b = "t%d_0" % i, "t%d_1" % i
+        verts += [a, b]
+        edges += [("c%da" % i, ("c", a)), ("c%db" % i, ("c", b)),
+                  ("t%d" % i, (a, b))]
+    g = Multigraph(verts, edges)
+    td = induce_tree_decomposition(g, canonical_nested_set(g, 2))
+    assert td.tree.n_vertices() == 12
+    identity = Isomorphism({v: v for v in g.vertices}, {e: e for e in g.edges})
+    assert tree_automorphisms_matching(td, identity) is UNDECIDED
 
 
 def test_dot_and_json_exports():
