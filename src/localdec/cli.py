@@ -268,6 +268,8 @@ def _verify_tree_artifact(obj: dict) -> dict:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     obj = _load_json(cfg.input)
+    if not isinstance(obj, dict):
+        raise GraphError("unrecognized artifact layout")
     if "H" in obj and "parts" in obj:
         report = _verify_decomposition_artifact(obj)
         report["artifact"] = "decomposition"

@@ -13,7 +13,7 @@ produce the same decomposition.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from localdec.localcover import (
@@ -29,12 +29,14 @@ from localdec.multigraph import (
     Isomorphism,
     Multigraph,
     UNDECIDED,
+    _edge_multiplicities_ok,
     automorphism_group,
     ball,
 )
 from localdec.tangles import BudgetError, Separation, canonical_nested_set
 from localdec.treedecomp import (
     TreeDecomposition,
+    _AxiomReport,
     induce_tree_decomposition,
     node_map_under,
 )
@@ -86,7 +88,7 @@ def trivial_decomposition(g: Multigraph) -> GraphDecomposition:
 
 
 @dataclass
-class DecompositionReport:
+class DecompositionReport(_AxiomReport):
     parts_cover_graph: bool          # every vertex and edge in some part
     vertex_supports_connected: bool  # the model nodes holding a vertex induce a connected graph
     edge_supports_connected: bool    # same for edges
@@ -100,16 +102,6 @@ class DecompositionReport:
     _AXIOMS = ("parts_cover_graph", "vertex_supports_connected",
                "edge_supports_connected", "adjacent_parts_intersect",
                "point_finite")
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> list:
-        return [name for name in self._AXIOMS if not getattr(self, name)]
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def verify_graph_decomposition(g: Multigraph, d: GraphDecomposition) -> DecompositionReport:
@@ -417,24 +409,12 @@ def _match_models(m1: Multigraph, content1: dict, m2: Multigraph,
 
     # the edge totals agree, so matching the count at every pair of m1
     # nodes joined by an edge matches it at every pair
-    def fits(h, target) -> bool:
-        for _e, w in m1.incident(h):
-            if w == h:
-                image = target
-            elif w in assign:
-                image = assign[w]
-            else:
-                continue
-            if len(m1.edges_between(h, w)) != len(m2.edges_between(target, image)):
-                return False
-        return True
-
     def backtrack(i):
         if i == len(order):
             return dict(assign)
         h = order[i]
         for target in by_content.get(content1[h], ()):
-            if target in used or not fits(h, target):
+            if target in used or not _edge_multiplicities_ok(m1, m2, h, target, assign):
                 continue
             assign[h] = target
             used.add(target)

@@ -20,6 +20,7 @@ all projections are carried explicitly and nothing parses ids back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from localdec.grouppres import (
@@ -54,12 +55,21 @@ class LiftOutOfBallError(CoverError):
     """A walk lift left the truncated region of a cover."""
 
 
-def _cover_vid(v, i) -> str:
-    return "%s@%d" % (v, i)
+def _cover_id(x, i) -> str:
+    """The id of the lift of base vertex or edge x to fibre i."""
+    return "%s@%d" % (x, i)
 
 
-def _cover_eid(e, i) -> str:
-    return "%s@%d" % (e, i)
+def _cover_json(cov, graph: Multigraph) -> dict:
+    """The base, graph and projection entries of a cover artifact."""
+    return {
+        "base": cov.base.to_json_obj(),
+        "graph": graph.to_json_obj(),
+        "projection": {
+            "vertices": {str(k): str(v) for k, v in cov.projection_vertices.items()},
+            "edges": {str(k): str(v) for k, v in cov.projection_edges.items()},
+        },
+    }
 
 
 @dataclass
@@ -93,7 +103,7 @@ class Covering:
         vid = {}
         for v in base.vertices:
             for i in range(n):
-                name = _cover_vid(v, i)
+                name = _cover_id(v, i)
                 vid[(v, i)] = name
                 verts.append(name)
         edges = []
@@ -106,7 +116,7 @@ class Covering:
             u, v = base.ends[e]
             for i in range(n):
                 # edge instance (e, i) has its tail in fibre i
-                name = _cover_eid(e, i)
+                name = _cover_id(e, i)
                 edges.append((name, (vid[(u, i)], vid[(v, self._step(i, e, True))])))
                 proj_e[name] = e
                 self._eid[(e, i)] = name
@@ -177,12 +187,7 @@ class Covering:
 
     def to_json_obj(self) -> dict:
         return {
-            "base": self.base.to_json_obj(),
-            "graph": self.cover.to_json_obj(),
-            "projection": {
-                "vertices": {str(k): str(v) for k, v in self.projection_vertices.items()},
-                "edges": {str(k): str(v) for k, v in self.projection_edges.items()},
-            },
+            **_cover_json(self, self.cover),
             "deck": [list(row) for row in self.deck.mult],
             "truncated": False,
             "certificates": {},
@@ -232,12 +237,7 @@ class TruncatedCover:
         certs = dict(self.certificates)
         certs["table_covers_ball"] = self.table_covers_ball
         return {
-            "base": self.base.to_json_obj(),
-            "graph": self.ball.to_json_obj(),
-            "projection": {
-                "vertices": {str(k): str(v) for k, v in self.projection_vertices.items()},
-                "edges": {str(k): str(v) for k, v in self.projection_edges.items()},
-            },
+            **_cover_json(self, self.ball),
             "truncated": True,
             "root": self.root,
             "radius": self.radius,
@@ -269,9 +269,7 @@ def _crossing(step, c, e, forward: bool):
 def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
                 radius: int, locality: int):
     """Breadth-first ball of the partial derived graph around (x0, coset 0)."""
-    def step(c, e, forward):
-        return _table_step(table, chord_letter, c, e, forward)
-
+    step = partial(_table_step, table, chord_letter)
     root = (x0, 0)
     depths = {root: 0}
     order = [root]
@@ -294,7 +292,7 @@ def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
                     depths[(w, c2)] = d + 1
                     order.append((w, c2))
 
-    vid = {key: _cover_vid(*key) for key in order}
+    vid = {key: _cover_id(*key) for key in order}
     verts = [vid[key] for key in order]
     proj_v = {vid[(v, c)]: v for (v, c) in order}
     coord = {vid[key]: key for key in order}
@@ -310,7 +308,7 @@ def _build_ball(g: Multigraph, table: CosetTable, chord_letter: dict, x0,
                 continue
             if depths[(v, c)] + 1 + depths[(w, c2)] > 2 * radius:
                 continue
-            name = _cover_eid(e, i)
+            name = _cover_id(e, i)
             if name in seen_edges:
                 continue
             seen_edges.add(name)
@@ -476,7 +474,7 @@ def lift_walk(cov, w: Walk, start) -> Walk:
         i, cur = _crossing(cov._step, cur, e, w.vertices[k] == g.ends[e][0])
         if i is None:
             raise LiftOutOfBallError("lift leaves the enumerated region")
-        name, x = _cover_eid(e, i), _cover_vid(w.vertices[k + 1], cur)
+        name, x = _cover_id(e, i), _cover_id(w.vertices[k + 1], cur)
         if name not in graph.ends or not graph.has_vertex(x):
             raise LiftOutOfBallError("lift leaves the truncated ball")
         edges.append(name)
@@ -652,20 +650,17 @@ def local_group_extension(cay: LabelledGraph, r: int,
     letter = {e: index[cay.labels[e]] for e in cay.graph.edges}
     words = set()
     for cyc in cycles_through_vertex(cay.graph, x0, r):
-        walks = []
         k = cyc.vertices.index(x0)
         rotated_v = cyc.vertices[k:] + cyc.vertices[:k]
         rotated_e = cyc.edges[k:] + cyc.edges[:k]
         once = Walk(rotated_v + (x0,), rotated_e)
-        walks.append(once)
-        if cyc.length > 1:
-            walks.append(once.reverse())
-        for w in walks:
-            word = FreeWord(_walk_letters(cay.graph, letter, w))
-            if word.is_empty():
-                continue
-            inv = word.inverse()
-            words.add(min(word.letters, inv.letters))
+        # the walk the other way round reads the inverse word (a cycle of
+        # length >= 2 holds no loop), and min() folds the two into one
+        word = FreeWord(_walk_letters(cay.graph, letter, once))
+        if word.is_empty():
+            continue
+        inv = word.inverse()
+        words.add(min(word.letters, inv.letters))
     relators = tuple(FreeWord(lt) for lt in sorted(words))
     return Presentation(cay.generators, relators)
 

@@ -257,12 +257,13 @@ class Multigraph:
         try:
             vs = obj["vertices"]
             es = [(d["id"], tuple(d["ends"])) for d in obj["edges"]]
+            for _, pair in es:
+                if len(pair) != 2:
+                    raise GraphError("edge ends must list exactly two vertices")
+            # an id JSON cannot hash, such as a list, fails here
+            return Multigraph(vs, es)
         except (KeyError, TypeError) as exc:
             raise GraphError("bad graph JSON: %s" % exc) from exc
-        for _, pair in es:
-            if len(pair) != 2:
-                raise GraphError("edge ends must list exactly two vertices")
-        return Multigraph(vs, es)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
@@ -505,35 +506,23 @@ def spanning_tree(g: Multigraph, x0) -> tuple:
     """Edge ids of the BFS tree rooted at x0, ties broken by canonical order."""
     if not g.has_vertex(x0):
         raise GraphError("unknown root %r" % (x0,))
-    parent = {x0: None}
-    tree = []
-    q = deque([x0])
-    while q:
-        u = q.popleft()
-        for e, w in g.incident(u):
-            if w not in parent:
-                parent[w] = (e, u)
-                tree.append(e)
-                q.append(w)
+    parent = _bfs_parents(g, x0)
     if len(parent) != len(g.vertices):
         raise DisconnectedGraphError("graph is not connected")
-    return tuple(sorted(tree, key=g.epos))
+    return tuple(sorted((p[0] for p in parent.values() if p), key=g.epos))
 
 
-def _tree_parents(g: Multigraph, tree, x0) -> dict:
-    tset = set(tree)
-    parent = {x0: None}
-    q = deque([x0])
+def _bfs_parents(g: Multigraph, root, allowed=None) -> dict:
+    """(edge, parent) of each vertex BFS reaches from root, over the edges in
+    `allowed` when given, ties broken by canonical order; the root maps to None."""
+    parent = {root: None}
+    q = deque([root])
     while q:
         u = q.popleft()
         for e, w in g.incident(u):
-            if e in tset and w not in parent:
+            if w not in parent and (allowed is None or e in allowed):
                 parent[w] = (e, u)
                 q.append(w)
-    if len(parent) != len(g.vertices):
-        raise GraphError("edge set is not a spanning tree")
-    if len(tset) != len(g.vertices) - 1:
-        raise GraphError("edge set is not a spanning tree")
     return parent
 
 
@@ -569,8 +558,12 @@ def fundamental_walks(g: Multigraph, tree, x0):
     The chord is traversed from its lower endpoint first; the rest of the
     walk runs along the tree.
     """
-    parent = _tree_parents(g, tree, x0)
     tset = set(tree)
+    parent = _bfs_parents(g, x0, tset)
+    if len(parent) != len(g.vertices):
+        raise GraphError("edge set is not a spanning tree")
+    if len(tset) != len(g.vertices) - 1:
+        raise GraphError("edge set is not a spanning tree")
     walks = []
     for e in g.edges:
         if e in tset:
@@ -640,21 +633,12 @@ def cycle_space_basis(g: Multigraph) -> BinaryCycleSpace:
     for root in g.vertices:
         if root in seen:
             continue
-        comp = g.distances(root)
-        seen |= set(comp)
-        parent = {root: None}
-        tset = set()
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for e, w in g.incident(u):
-                if w not in parent:
-                    parent[w] = (e, u)
-                    tset.add(e)
-                    q.append(w)
+        parent = _bfs_parents(g, root)
+        seen.update(parent)
+        tset = {p[0] for p in parent.values() if p}
         for e in g.edges:
             u, v = g.ends[e]
-            if e in tset or u not in comp:
+            if e in tset or u not in parent:
                 continue
             path = tree_path_walk(g, parent, u, v)
             vec = 1 << g.epos(e)

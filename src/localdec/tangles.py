@@ -308,21 +308,6 @@ def _edge_end_masks(g: Multigraph):
     return out
 
 
-def _residual_fits_one_set(bits, eends, cap: int, vu: int, eu: int) -> bool:
-    """Can everything outside (vu, eu) be covered by G[X] with |X| <= cap?"""
-    w = bits.vall & ~vu
-    if w.bit_count() > cap:
-        return False
-    em = bits.eall & ~eu
-    while em:
-        b = em & -em
-        w |= eends[b.bit_length() - 1]
-        if w.bit_count() > cap:
-            return False
-        em ^= b
-    return True
-
-
 def _residual_fits_sets(bits, eends, cap: int, vu: int, eu: int, parts: int) -> bool:
     """Can everything outside (vu, eu) be covered by `parts` many subgraphs
     G[X_i] with |X_i| <= cap each?  Each missing edge must land inside one
@@ -341,6 +326,8 @@ def _residual_fits_sets(bits, eends, cap: int, vu: int, eu: int, parts: int) -> 
         if wall.bit_count() > parts * cap:
             return False
         em ^= b
+    if parts == 1:
+        return True  # the loop above has checked the one part
     groups = [0] * parts
 
     def rec(i: int) -> bool:
@@ -445,7 +432,7 @@ def _tangles_over_prefix(uni: SeparationUniverse, k: int):
             v2 = v | vj
             e2 = e | ej
             # two picked small sides plus one forced one
-            if _residual_fits_one_set(bits, eends, cap, v2, e2):
+            if _residual_fits_sets(bits, eends, cap, v2, e2, 1):
                 return False
             for vl, el in opts[j:]:
                 if (v2 | vl) == vall and (e2 | el) == eall:
@@ -618,7 +605,7 @@ def _assert_triple_condition(t: Tangle) -> None:
         for i2 in range(i1, len(opts)):
             v2 = v1 | opts[i2][0]
             e2 = e1 | opts[i2][1]
-            if _residual_fits_one_set(bits, eends, cap, v2, e2):
+            if _residual_fits_sets(bits, eends, cap, v2, e2, 1):
                 raise GraphError("two small sides plus a forced side cover the graph")
             for i3 in range(i2, len(opts)):
                 v = v2 | opts[i3][0]

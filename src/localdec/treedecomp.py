@@ -309,8 +309,23 @@ def _assert_alpha_order_isomorphism(td: TreeDecomposition, sides: dict) -> None:
                     raise GraphError("tree orientations are not order-compatible")
 
 
+class _AxiomReport:
+    """A verifier's report: the boolean fields named in `_AXIOMS` are the
+    axioms, and it passes when all of them hold."""
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> list:
+        return [name for name in self._AXIOMS if not getattr(self, name)]
+
+    def to_json_obj(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
+
+
 @dataclass
-class TreeDecompositionReport:
+class TreeDecompositionReport(_AxiomReport):
     is_tree: bool
     covers_vertices: bool
     covers_edges: bool
@@ -322,16 +337,6 @@ class TreeDecompositionReport:
 
     _AXIOMS = ("is_tree", "covers_vertices", "covers_edges",
                "subtrees_connected", "adhesion_identity", "regular")
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> list:
-        return [name for name in self._AXIOMS if not getattr(self, name)]
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def verify_tree_decomposition(g: Multigraph, td: TreeDecomposition) -> TreeDecompositionReport:
@@ -397,14 +402,9 @@ def node_map_under(td: TreeDecomposition, iso) -> Optional[dict]:
         j = sep_index.get(key)
         if j is None:
             return None
-        target = seps[j]
-        for flag in (0, 1):
-            first, _second = s.oriented(bool(flag))
-            mf = _apply_vertex_map_to_mask(g, iso, first)
-            tflag = 0 if mf == target.a_mask else 1
-            if target.oriented(bool(tflag))[0] != mf:
-                return None
-            mapped_member[(i, flag)] = (j, tflag)
+        # by the key, am and bm are each the A or the B side of seps[j]
+        mapped_member[(i, 0)] = (j, 0 if am == seps[j].a_mask else 1)
+        mapped_member[(i, 1)] = (j, 0 if bm == seps[j].a_mask else 1)
 
     members_to_node = {star.members: t for t, star in td.stars.items()}
     out = {}

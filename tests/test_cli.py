@@ -356,12 +356,12 @@ def _error_table():
                    "error: %s must be positive" % option)
         if cmd == "verify":
             yield ([cmd, "--input", "five.json"],
-                   "error: argument of type 'int' is not iterable")
+                   "error: unrecognized artifact layout")
             continue
         yield ([cmd, "--input", "split.json"] + extra,
                "error: input graph is disconnected")
         yield ([cmd, "--input", "lists.json"] + extra,
-               "error: unhashable type: 'list'")
+               "error: bad graph JSON: unhashable type: 'list'")
         if "--r" in extra:
             flags = extra[2:]   # what follows "--r 1"
             yield [cmd, "--input", "edge.json", "--r", "0"] + flags, _R_ERROR

@@ -426,6 +426,25 @@ def test_model_maps_keep_loops():
     assert not decompositions_agree(d, moved)
 
 
+def test_decompositions_agree_moves_loops_with_their_parts():
+    # the second model names its nodes the other way round, so only the
+    # parts tell which node is which; a doubled edge sits between them
+    g = path_graph(3)
+    left, right = g.subgraph([0, 1], ["e0"]), g.subgraph([1, 2], ["e1"])
+    d = GraphDecomposition(
+        g, Multigraph(["h0", "h1"], [("m0", ("h0", "h1")), ("m1", ("h0", "h1")),
+                                     ("l", ("h0", "h0"))]),
+        {"h0": left, "h1": right})
+
+    def renamed(loop_at):
+        model = Multigraph(["x", "y"], [("m0", ("x", "y")), ("m1", ("x", "y")),
+                                        ("l", (loop_at, loop_at))])
+        return GraphDecomposition(g, model, {"x": right, "y": left})
+
+    assert decompositions_agree(d, renamed("y"))
+    assert not decompositions_agree(d, renamed("x"))
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------

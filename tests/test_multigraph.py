@@ -461,6 +461,16 @@ def test_fundamental_walk_of_cycle_reduces_to_once_around():
     assert set(red.edges) == set(g.edges)
 
 
+def test_fundamental_walks_refuse_non_spanning_edge_sets():
+    # the first misses vertex 3; the second reaches every vertex but has
+    # an edge too many
+    with pytest.raises(GraphError, match="edge set is not a spanning tree"):
+        fundamental_walks(path_graph(4), ("e0", "e1"), 0)
+    g = cycle_graph(4)
+    with pytest.raises(GraphError, match="edge set is not a spanning tree"):
+        fundamental_walks(g, g.edges, 0)
+
+
 def test_theta_graph_has_two_fundamental_walks():
     g = theta_graph()
     t = spanning_tree(g, "u")
@@ -517,6 +527,47 @@ def test_cycle_space_basis_vectors_have_even_degrees():
                     deg[u] += 1
                     deg[v] += 1
             assert all(d % 2 == 0 for d in deg.values())
+
+
+def random_loopy_graph(rng):
+    """Up to seven vertices and ten edges drawn with replacement from all
+    pairs, loops included: usually disconnected, often with parallel edges."""
+    n = rng.randrange(2, 8)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 11))]
+    return Multigraph(range(n), [(f"e{i}", p) for i, p in enumerate(pairs)])
+
+
+def reduced_echelon_basis_of_even_sets(g):
+    """For each lowest bit p of an even-degree edge set, the one such set
+    whose lowest bit is p and that holds no other of these lowest bits."""
+    even = []
+    for vec in range(1 << len(g.edges)):
+        deg = {v: 0 for v in g.vertices}
+        for i, e in enumerate(g.edges):
+            if vec >> i & 1:
+                u, v = g.ends[e]
+                deg[u] += 1
+                deg[v] += 1
+        if vec and all(d % 2 == 0 for d in deg.values()):
+            even.append(vec)
+    pivots = {vec & -vec for vec in even}
+    rows = []
+    for p in sorted(pivots):
+        others = sum(pivots) & ~p
+        (row,) = [vec for vec in even if vec & -vec == p and vec & others == 0]
+        rows.append(row)
+    return tuple(rows)
+
+
+def test_cycle_space_basis_is_reduced_echelon_basis_of_even_sets():
+    rng = random.Random(33)
+    graphs = [random_loopy_graph(rng) for _ in range(40)]
+    assert sum(not g.is_connected() for g in graphs) >= 10
+    assert any(g.is_loop(e) for g in graphs for e in g.edges)
+    assert any(len(g.edges_between(*g.ends[e])) > 1 for g in graphs for e in g.edges
+               if not g.is_loop(e))
+    for g in graphs:
+        assert cycle_space_basis(g).basis == reduced_echelon_basis_of_even_sets(g)
 
 
 def test_short_cycles_span_examples():

@@ -12,7 +12,9 @@ from localdec.tangles import (
     SeparationUniverse,
     Tangle,
     _assert_triple_condition,
+    _edge_end_masks,
     _maximal_small_sides,
+    _residual_fits_sets,
     assert_consistent,
     block_tangle,
     canonical_nested_set,
@@ -485,6 +487,57 @@ def test_tangle_choices_do_not_depend_on_the_universe_order():
         small = enumerate_tangles(SeparationUniverse(g, k), k)
         large = enumerate_tangles(SeparationUniverse(g, k + 1), k)
         assert [t.choices for t in small] == [t.choices for t in large]
+
+
+def residual_fits_brute_force(g, cap, vu, eu, parts):
+    """Do `parts` vertex sets X_i with |X_i| <= cap hold every vertex
+    outside vu and, inside one X_i, both ends of every edge outside eu?
+    Adding vertices to an X_i never hurts, so sets of exactly
+    min(cap, |V|) vertices suffice."""
+    n = len(g.vertices)
+    size = min(cap, n)
+    sets = [x for x in range(1 << n) if x.bit_count() == size]
+    missing_v = g.bits().vall & ~vu
+    missing_e = [g.vertex_mask(g.ends[e]) for i, e in enumerate(g.edges)
+                 if not eu >> i & 1]
+    for xs in combinations_with_replacement(sets, parts):
+        union = 0
+        for x in xs:
+            union |= x
+        if missing_v & ~union == 0 and all(
+                any(m & ~x == 0 for x in xs) for m in missing_e):
+            return True
+    return False
+
+
+def test_residual_fits_sets_matches_brute_force():
+    rng = random.Random(72)
+    graphs = []
+    while len(graphs) < 12:
+        g = random_loopy_multigraph(rng, rng.randrange(1, 6))
+        if len(g.vertices) <= 6:
+            graphs.append(g)
+    assert any(g.is_loop(e) for g in graphs for e in g.edges)
+    outcomes = set()
+    for g in graphs:
+        bits = g.bits()
+        eends = _edge_end_masks(g)
+        sides = [(0, 0)] + [(a, g.edge_mask_within(a))
+                            for s in enumerate_separations(g, 4)
+                            for a in (s.a_mask, s.b_mask)]
+        samples = [rng.choice(sides) for _ in range(4)]
+        for _ in range(4):
+            (v1, e1), (v2, e2) = rng.choice(sides), rng.choice(sides)
+            samples.append((v1 | v2, e1 | e2))
+        for vu, eu in samples:
+            for cap in range(4):
+                for parts in (1, 2, 3):
+                    got = _residual_fits_sets(bits, eends, cap, vu, eu, parts)
+                    assert got == residual_fits_brute_force(g, cap, vu, eu, parts), \
+                        (g.to_json_obj(), cap, vu, eu, parts)
+                    outcomes.add((parts, got))
+    # every part count is seen both fitting and not fitting
+    assert outcomes == {(p, b) for p in (1, 2, 3) for b in (False, True)}
 
 
 def test_each_side_tested_once_against_two_forced_sides(monkeypatch):
