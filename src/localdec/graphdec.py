@@ -29,6 +29,7 @@ from localdec.multigraph import (
     Isomorphism,
     Multigraph,
     UNDECIDED,
+    _components_masks,
     _edge_multiplicities_ok,
     automorphism_group,
     ball,
@@ -119,10 +120,10 @@ def verify_graph_decomposition(g: Multigraph, d: GraphDecomposition) -> Decompos
         union_e.update(d.parts[h].edges)
     covers = union_v == set(g.vertices) and union_e == set(g.edges)
 
+    adj = d.model.bits().adj
+
     def support_connected(support) -> bool:
-        if not support:
-            return False
-        return d.model.induced(support).is_connected()
+        return len(_components_masks(adj, d.model.vertex_mask(support))) == 1
 
     vertex_ok = all(support_connected(d.vertex_support(v)) for v in g.vertices)
     edge_ok = all(support_connected(d.edge_support(e)) for e in g.edges)
@@ -248,10 +249,9 @@ class _UnionFind:
 def _project_part(cov, graph: Multigraph, vertices) -> Multigraph:
     """The base subgraph onto which the subgraph of `graph` (the cover or
     the ball of cov) induced by `vertices` projects."""
-    vset = set(vertices)
-    sub = graph.induced(vset)
-    base_vs = {cov.projection_vertices[v] for v in vset}
-    base_es = {cov.projection_edges[e] for e in sub.edges}
+    within = graph.edge_mask_within(graph.vertex_mask(vertices))
+    base_vs = {cov.projection_vertices[v] for v in vertices}
+    base_es = {cov.projection_edges[e] for i, e in enumerate(graph.edges) if within >> i & 1}
     return cov.base.subgraph(base_vs, base_es)
 
 

@@ -597,11 +597,15 @@ class LabelledGraph:
             if "label" not in entry:
                 raise GraphError("labelled graph needs a label on every edge")
             labels[entry["id"]] = entry["label"]
+        identity = obj.get("identity", g.vertices[0] if g.vertices else None)
+        try:
+            hash((tuple(labels.values()), identity))
+        except TypeError as exc:
+            raise GraphError("bad labelled graph JSON: %s" % exc) from exc
         gens = []
         for e in g.edges:
             if labels[e] not in gens:
                 gens.append(labels[e])
-        identity = obj.get("identity", g.vertices[0] if g.vertices else None)
         return LabelledGraph(g, labels, tuple(gens), identity)
 
 

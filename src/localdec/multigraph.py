@@ -282,6 +282,30 @@ class _BitView:
     epairs: tuple
 
 
+def _components_masks(adj, pool: int):
+    """Connected components of the subgraph induced on the mask `pool`,
+    with `adj` the per-vertex neighbour masks of `Multigraph.bits()`."""
+    comps = []
+    left = pool
+    while left:
+        seed = left & -left
+        comp = seed
+        frontier = seed
+        while frontier:
+            new = 0
+            f = frontier
+            while f:
+                b = f & -f
+                new |= adj[b.bit_length() - 1]
+                f ^= b
+            new &= pool & ~comp
+            comp |= new
+            frontier = new
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # walks
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from math import comb
 from operator import itemgetter
 from typing import Optional
 
-from localdec.multigraph import GraphError, InvariantError, Multigraph
+from localdec.multigraph import GraphError, InvariantError, Multigraph, _components_masks
 
 
 class BudgetError(GraphError):
@@ -96,57 +96,38 @@ def crossing(s: Separation, t: Separation) -> bool:
     return not nested(s, t)
 
 
-def _components_masks(adj, pool: int):
-    """Connected components of the subgraph induced on the mask `pool`."""
-    comps = []
-    left = pool
-    while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            new = 0
-            f = frontier
-            while f:
-                b = f & -f
-                new |= adj[b.bit_length() - 1]
-                f ^= b
-            new &= pool & ~comp
-            comp |= new
-            frontier = new
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
-def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
-                  budget: int):
-    """Every separation of order < max_order (the improper ones only if
-    requested) as (a, b, position) with side vertex masks a <= b, sorted
-    by (order, a, b); the order boundaries: ends[o] separations have order
-    < o; and every separator X of order < max_order that leaves at least
-    two components, as (X, components of G - X), by |X|.
-
-    A separation with separator X is a choice of a bipartition of the
-    components c_0..c_{c-1} of G - X, each side being X plus its components:
-    pick p < m = 2^(c-1) - 1 puts c_0 and each c_j with bit j - 1 of p set
-    on side a.  X owns the next block of 2m positions; pick p sits at p if
-    a <= b, else at m + p.  Improper separations get position 0.
-    """
-    bits = g.bits()
-    vall, adj = bits.vall, bits.adj
-    n = len(g.vertices)
-    top = min(max_order, n + 1)
-    total = sum(comb(n, size) for size in range(0, top))
+def _check_budget(n: int, max_order: int, budget: int) -> None:
+    """Refuse more separator candidates of order < max_order than `budget`."""
+    total = sum(comb(n, size) for size in range(0, min(max_order, n + 1)))
     if total > budget:
         raise BudgetError(
             "enumerating %d separator candidates exceeds the budget of %d; "
             "lower the order or raise the budget" % (total, budget))
+
+
+def _sorted_sides(g: Multigraph, max_order: int, include_improper: bool,
+                  low: int = 0, base: int = 0):
+    """Every separation of order in [low, max_order) (the improper ones
+    only if requested) as (a, b, position) with side vertex masks a <= b,
+    sorted by (order, a, b); the order boundaries: ends[o - low]
+    separations have order < o; and every separator X of order in
+    [low, max_order) that leaves at least two components, as
+    (X, components of G - X), by |X|.
+
+    A separation with separator X is a choice of a bipartition of the
+    components c_0..c_{c-1} of G - X, each side being X plus its components:
+    pick p < m = 2^(c-1) - 1 puts c_0 and each c_j with bit j - 1 of p set
+    on side a.  X owns the next block of 2m positions, the first block
+    starting at `base`; pick p sits at p if a <= b, else at m + p.
+    Improper separations get position 0.
+    """
+    bits = g.bits()
+    vall, adj = bits.vall, bits.adj
+    n = len(g.vertices)
     out = []
     ends = [0]
     separators = []
-    base = 0
-    for size in range(0, top):
+    for size in range(low, min(max_order, n + 1)):
         bucket = []
         for combo in combinations(range(n), size):
             x = 0
@@ -187,8 +168,9 @@ def enumerate_separations(g: Multigraph, max_order: int,
     unless requested.  Sorted by (order, side masks), so the list for a
     smaller max_order is a prefix of the list for a larger one.
     """
+    _check_budget(len(g.vertices), max_order, budget)
     full = g.bits().vall
-    sides, _, _ = _sorted_sides(g, max_order, include_improper, budget)
+    sides, _, _ = _sorted_sides(g, max_order, include_improper)
     return [Separation(a, b, full) for a, b, _ in sides]
 
 
@@ -197,22 +179,10 @@ def is_tight(g: Multigraph, s: Separation) -> bool:
     bits = g.bits()
     x = s.separator
     comps = _components_masks(bits.adj, bits.vall & ~x)
+    x_adj = [a for i, a in enumerate(bits.adj) if x >> i & 1]
 
     def witness(side_mask: int) -> bool:
-        for comp in comps:
-            if comp & ~side_mask:
-                continue
-            ok = True
-            xs = x
-            while xs:
-                b = xs & -xs
-                if not (bits.adj[b.bit_length() - 1] & comp):
-                    ok = False
-                    break
-                xs ^= b
-            if ok:
-                return True
-        return False
+        return any(all(a & comp for a in x_adj) for comp in comps if not comp & ~side_mask)
 
     return witness(s.a_mask) and witness(s.b_mask)
 
@@ -231,9 +201,10 @@ class SeparationUniverse:
                  "_side_data")
 
     def __init__(self, g: Multigraph, max_order: int, budget: int = 5_000_000):
+        _check_budget(len(g.vertices), max_order, budget)
         self.graph = g
         self.max_order = max_order
-        seps, self._ends, self.separators = _sorted_sides(g, max_order, False, budget)
+        seps, self._ends, self.separators = _sorted_sides(g, max_order, False)
         self._perm = array("I", map(itemgetter(2), seps))
         full = g.bits().vall
         # replace the records in place, so that the two lists never coexist
@@ -251,6 +222,21 @@ class SeparationUniverse:
             self._side_data = [((s.a_mask, within(s.a_mask)), (s.b_mask, within(s.b_mask)))
                                for s in self.seps]
         return self._side_data
+
+    def _grow(self) -> None:
+        """Add the separations of order max_order, as the next size bucket
+        of `_sorted_sides` with its blocks after the ones already laid out,
+        and one to max_order: the records of the one-pass build."""
+        k = self.max_order
+        base = sum((1 << len(comps)) - 2 for _, comps in self.separators)
+        seps, ends, separators = _sorted_sides(self.graph, k + 1, False, k, base)
+        self._perm.extend(map(itemgetter(2), seps))
+        self._ends += [len(self.seps) + e for e in ends[1:]]
+        full = self.graph.bits().vall
+        self.seps += [Separation(a, b, full) for a, b, _ in seps]
+        self.separators += separators
+        self.max_order = k + 1
+        self._side_data = None
 
     def prefix_len(self, k: int) -> int:
         """Number of separations of order < k (a prefix of the sorted list)."""
@@ -300,12 +286,9 @@ class Tangle:
         return {"order": self.order, "orientation": orient}
 
 
-def _edge_end_masks(g: Multigraph):
-    bits = g.bits()
-    out = []
-    for iu, iv in bits.epairs:
-        out.append((1 << iu) | (1 << iv))
-    return out
+def _edge_end_masks(g: Multigraph) -> list:
+    """Per edge, the vertex mask of its ends."""
+    return [(1 << iu) | (1 << iv) for iu, iv in g.bits().epairs]
 
 
 def _residual_fits_sets(bits, eends, cap: int, vu: int, eu: int, parts: int) -> bool:
@@ -687,7 +670,13 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
     """Union over distinguishable tangle pairs of their efficient
     distinguishers crossing the fewest members of the distinguisher pool.
 
-    Tangles of orders 1..max_tangle_order are used.
+    Tangles of orders 1..max_tangle_order are used.  A k-tangle restricts
+    to a (k-1)-tangle: its small sides of order < k - 1 are some of its
+    small sides, and the forced sides G[X] with |X| < k - 1 some of those
+    with |X| < k, so no three of them cover G.  So the search stops at the
+    first order without a tangle; given a graph, the universe grows one
+    order at a time up to there (`ns.universe.max_order` may stay below
+    max_tangle_order), and the budget is charged for max_tangle_order.
 
     Asserts on the result: pairwise nestedness, efficient distinguishing
     of every distinguishable pair, tightness of every member, and (budget
@@ -695,12 +684,21 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
     already has that group passes it as `group`, in the form
     `multigraph.automorphism_group` returns, and the check uses it.
     """
-    uni = _universe(g_or_universe, max_tangle_order)
+    if isinstance(g_or_universe, SeparationUniverse):
+        uni = _universe(g_or_universe, max_tangle_order)
+    else:
+        _check_budget(len(g_or_universe.vertices), max_tangle_order, 5_000_000)
+        uni = SeparationUniverse(g_or_universe, 0)
     g = uni.graph
 
     tangles = []
     for k in range(1, max_tangle_order + 1):
-        tangles.extend(Tangle(uni, k, ch) for ch in _tangles_over_prefix(uni, k))
+        if uni.max_order < k:
+            uni._grow()
+        found = _tangles_over_prefix(uni, k)
+        if not found:
+            break
+        tangles.extend(Tangle(uni, k, ch) for ch in found)
 
     pair_eff = {}
     pool = set()

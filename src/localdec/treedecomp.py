@@ -13,11 +13,13 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from localdec.multigraph import UNDECIDED, GraphError, Multigraph, automorphisms
+from localdec.multigraph import (UNDECIDED, GraphError, Multigraph, _components_masks,
+                                 automorphisms)
 from localdec.tangles import (
     NestedSet,
     Separation,
     _apply_vertex_map_to_mask,
+    _edge_end_masks,
     nested,
     oriented_le,
 )
@@ -351,14 +353,13 @@ def _tree_report(g: Multigraph, td: TreeDecomposition, masks: dict,
     union = 0
     for m in masks.values():
         union |= m
-    covers_edges = all(
-        any(g.vertex_mask(g.ends[e]) & ~m == 0 for m in masks.values())
-        for e in g.edges)
+    covers_edges = all(any(ends & ~m == 0 for m in masks.values())
+                       for ends in _edge_end_masks(g))
+    adj = td.tree.bits().adj
 
-    def subtree_connected(v) -> bool:
-        bit = g.vertex_mask([v])
-        holders = [t for t, m in masks.items() if m & bit]
-        return bool(holders) and td.tree.induced(holders).is_connected()
+    def subtree_connected(bit) -> bool:
+        holders = td.tree.vertex_mask(t for t, m in masks.items() if m & bit)
+        return len(_components_masks(adj, holders)) == 1
 
     adhesion_identity = regular = True
     max_adhesion = 0
@@ -374,7 +375,8 @@ def _tree_report(g: Multigraph, td: TreeDecomposition, masks: dict,
 
     return TreeDecompositionReport(
         _is_tree(td.tree), union == vall, covers_edges,
-        all(map(subtree_connected, g.vertices)), adhesion_identity, regular,
+        all(subtree_connected(1 << i) for i in range(len(g.vertices))),
+        adhesion_identity, regular,
         max_adhesion, max((len(p) for p in td.parts.values()), default=0))
 
 

@@ -173,6 +173,18 @@ def test_decompose_uncertified_exit_four(tmp_path):
     assert code == 4
 
 
+def test_readme_example_at_the_default_order_exceeds_the_budget(tmp_path, capsys):
+    # the budget is charged for the requested order, although the orders
+    # above the first one without a tangle are never enumerated
+    inp = write_graph(tmp_path / "neck.json", necklace(4))
+    code = run("decompose", "--input", inp, "--r", "3", "--coset-limit", "3000",
+               "--truncation-radius", "10")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "27373978 separator candidates" in err
+    assert "budget of 5000000" in err
+
+
 def test_verify_cover_artifact_and_r_mismatch(tmp_path):
     inp = write_graph(tmp_path / "c6.json", cycle_graph(6))
     out = tmp_path / "cover.json"
@@ -337,6 +349,10 @@ _ERROR_INPUTS = {
                              "edges": [{"id": "e", "ends": ["a", "b"]}]}),
     "lists.json": json.dumps({"vertices": [[1], [2]], "edges": []}),
     "five.json": "5",
+    "label.json": json.dumps({"vertices": ["0", "1"],
+                              "edges": [{"id": "e", "ends": ["0", "1"], "label": ["x"]}]}),
+    "identity.json": json.dumps({"vertices": ["0", "1"], "identity": ["0"],
+                                 "edges": [{"id": "e", "ends": ["0", "1"], "label": "x"}]}),
 }
 _MISSING = "error: [Errno 2] No such file or directory: 'nope.json'"
 _R_ERROR = "error: --r must be at least 1"
@@ -370,6 +386,10 @@ def _error_table():
                    _R_ERROR if cmd == "gamma-r" else _MISSING)
     yield (["gamma-r", "--input", "edge.json", "--r", "1"],
            "error: gamma-r needs a labelled Cayley graph (--labelled)")
+    # a label or an identity JSON cannot hash names the labelled graph
+    for name in ("label.json", "identity.json"):
+        yield (["gamma-r", "--input", name, "--r", "1", "--labelled"],
+               "error: bad labelled graph JSON: unhashable type: 'list'")
 
 
 @pytest.mark.parametrize("argv, stderr", [

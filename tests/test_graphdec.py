@@ -125,6 +125,32 @@ def test_edge_support_can_fail_where_vertex_support_holds():
     assert not report.passed
 
 
+def test_vertex_support_can_fail_where_edge_supports_hold():
+    # u is held by the two end nodes of a path model but not by its middle
+    # node; the edge and v stay on connected supports
+    g = Multigraph(["u", "v"], [("e", ("u", "v"))])
+    model = Multigraph(["h0", "h1", "h2"],
+                       [("m0", ("h0", "h1")), ("m1", ("h1", "h2"))])
+    d = GraphDecomposition(g, model, {"h0": g, "h1": g.subgraph(["v"], []),
+                                      "h2": g.subgraph(["u"], [])})
+    report = verify_graph_decomposition(g, d)
+    assert report.parts_cover_graph
+    assert not report.vertex_supports_connected
+    assert report.edge_supports_connected
+    assert not report.passed
+
+
+def test_empty_supports_are_not_connected():
+    # v and the edge lie in no part: their supports are empty
+    g = Multigraph(["u", "v"], [("e", ("u", "v"))])
+    model = Multigraph(["h0"], [])
+    d = GraphDecomposition(g, model, {"h0": g.subgraph(["u"], [])})
+    report = verify_graph_decomposition(g, d)
+    assert not report.parts_cover_graph
+    assert not report.vertex_supports_connected
+    assert not report.edge_supports_connected
+
+
 def test_dishonest_decomposition_detected():
     g = path_graph(3)
     model = Multigraph(["h0", "h1"], [("m", ("h0", "h1"))])

@@ -14,6 +14,7 @@ from localdec.tangles import (
     _assert_triple_condition,
     _edge_end_masks,
     _maximal_small_sides,
+    _no_tangles_at_all,
     _residual_fits_sets,
     assert_consistent,
     block_tangle,
@@ -849,6 +850,38 @@ def test_nested_set_invariant_and_nested_on_random_graphs():
             assert nested(a, b)
         for s in seps:
             assert is_tight(g, s)
+
+
+def test_nested_set_from_a_graph_matches_the_one_pass_universe():
+    # given a graph, the universe grows one order at a time and stops at
+    # the first order without a tangle; a k-tangle restricts to a
+    # (k-1)-tangle, so the oracle finds none above that order either
+    rng = random.Random(73)
+    cases = [g for g in (random_loopy_multigraph(rng, rng.randrange(1, 6))
+                         for _ in range(40)) if len(g.vertices) <= 8]
+    assert len(cases) >= 15
+    searched = 0
+    for g in cases[:15]:
+        for k in range(1, 6):
+            uni = SeparationUniverse(g, k)
+            grown = canonical_nested_set(g, k)
+            full = canonical_nested_set(uni, k)
+            assert grown.max_tangle_order == full.max_tangle_order == k
+            assert grown.indices == full.indices
+            assert grown.tags == full.tags
+            assert ([(t.order, t.choices) for t in grown.tangles]
+                    == [(t.order, t.choices) for t in full.tangles])
+            assert grown.invariance_checked == full.invariance_checked
+            count = len(grown.universe.seps)
+            assert ([(s.a_mask, s.b_mask) for s in grown.universe.seps]
+                    == [(s.a_mask, s.b_mask) for s in uni.seps[:count]])
+        orders = {t.order for t in full.tangles}
+        first_empty = min(set(range(1, 6)) - orders, default=6)
+        for k in range(first_empty, 6):
+            assert tangle_oracle(uni, k) == []
+            # count the orders where no three forced sides cover the graph
+            searched += not _no_tangles_at_all(g, k)
+    assert searched >= 3
 
 
 def test_orientation_partial_order_antisymmetry():

@@ -201,7 +201,23 @@ def test_verify_detects_disconnected_subtree():
     broken = TreeDecomposition(g, td.tree, swapped, td.stars,
                                td.edge_separation, td.separations)
     report = verify_tree_decomposition(g, broken)
+    assert report.covers_vertices and report.covers_edges
+    assert not report.subtrees_connected
     assert not report.passed
+
+
+def test_vertex_in_no_part_has_no_connected_subtree():
+    g = two_k5s()
+    td = induce_tree_decomposition(g, canonical_nested_set(g, 2))
+    t = td.tree.vertices[0]
+    v = next(v for v in td.parts[t] if sum(v in p for p in td.parts.values()) == 1)
+    dropped = dict(td.parts)
+    dropped[t] = tuple(u for u in td.parts[t] if u != v)
+    broken = TreeDecomposition(g, td.tree, dropped, td.stars,
+                               td.edge_separation, td.separations)
+    report = verify_tree_decomposition(g, broken)
+    assert not report.covers_vertices
+    assert not report.subtrees_connected
 
 
 def test_group_action_transfers_to_tree():
