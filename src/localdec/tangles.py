@@ -83,13 +83,16 @@ def oriented_le(first1: int, second1: int, first2: int, second2: int) -> bool:
     return (first1 | first2) == first2 and (second1 | second2) == second1
 
 
+def _nested_masks(a: int, b: int, c: int, d: int) -> bool:
+    """Are {A, B} and {C, D} nested: (A,B) <= (C,D) or (D,C), or (B,A) <= (C,D)
+    or (D,C)?  The other four orientation pairs are these read backwards."""
+    return (not (a & ~c or d & ~b) or not (a & ~d or c & ~b)
+            or not (b & ~c or d & ~a) or not (b & ~d or c & ~a))
+
+
 def nested(s: Separation, t: Separation) -> bool:
     """Two separations are nested when some orientations are comparable."""
-    for f1, s1 in (s.oriented(False), s.oriented(True)):
-        for f2, s2 in (t.oriented(False), t.oriented(True)):
-            if oriented_le(f1, s1, f2, s2):
-                return True
-    return False
+    return _nested_masks(s.a_mask, s.b_mask, t.a_mask, t.b_mask)
 
 
 def crossing(s: Separation, t: Separation) -> bool:
@@ -709,10 +712,12 @@ def canonical_nested_set(g_or_universe, max_tangle_order: int,
             pool.update(eff)
 
     pool = sorted(pool)
-    cross_count = {}
-    for i in pool:
-        si = uni.seps[i]
-        cross_count[i] = sum(1 for j in pool if j != i and crossing(si, uni.seps[j]))
+    cross_count = dict.fromkeys(pool, 0)
+    sides = [(i, uni.seps[i].a_mask, uni.seps[i].b_mask) for i in pool]
+    for (i, a, b), (j, c, d) in combinations(sides, 2):
+        if not _nested_masks(a, b, c, d):
+            cross_count[i] += 1
+            cross_count[j] += 1
 
     chosen = set()
     tags = {}

@@ -1,10 +1,13 @@
 """Splitting stars of nested separation sets and their tree-decompositions.
 
-A finite nested set N of proper separations induces a tree whose nodes are
-the splitting stars of N and whose edges join the two stars holding the
-two orientations of a member of N.  Parts are intersections of the big
-sides of a star.  Everything here is finite, so every orientation has
-maximal elements and every oriented separation lies in exactly one star.
+A finite nested set N of proper separations is a regular tree set: it
+induces a tree whose nodes are the splitting stars of N and whose edges
+join the two stars holding the two orientations of a member of N (Diestel,
+"Tree sets", Order 35, 2018; the tree of a nested set as in Carmesin,
+Diestel, Hundertmark and Stein, Combinatorica 2014).  The star at the node
+an oriented member s = (A, B) points at is s with the maximal oriented
+members of the other separations below (B, A).  Parts are intersections
+of the big sides of a star.
 """
 
 from __future__ import annotations
@@ -36,51 +39,16 @@ def _check_nested_proper(seps: Sequence[Separation]) -> None:
         if not s.proper:
             raise GraphError("nested set contains an improper separation")
     for s, t in combinations(seps, 2):
-        if s == t:
+        if {s.a_mask, s.b_mask} == {t.a_mask, t.b_mask}:
             raise GraphError("nested set lists a separation twice")
         if not nested(s, t):
             raise GraphError("set of separations is not nested")
 
 
-def consistent_orientations(n) -> list:
-    """All consistent orientations of a finite nested separation set.
-
-    An orientation is returned as a tuple of flip flags aligned with the
-    separations; flag 0 picks (A, B), flag 1 picks (B, A).  Consistency
-    forbids containing (B, A) when (A, B) lies below another member.
-    """
-    seps = _seps_of(n)
-    _check_nested_proper(seps)
-    count = len(seps)
-    out = []
-    flags = [0] * count
-
-    def conflicts(i: int, fi: int) -> bool:
-        f1, s1 = seps[i].oriented(bool(fi))
-        for j in range(i):
-            f2, s2 = seps[j].oriented(bool(flags[j]))
-            # (s1, f1) <= chosen_j  or  (s2, f2) <= chosen_i
-            if oriented_le(s1, f1, f2, s2) or oriented_le(s2, f2, f1, s1):
-                return True
-        return False
-
-    def rec(i: int):
-        if i == count:
-            out.append(tuple(flags))
-            return
-        for fi in (0, 1):
-            if not conflicts(i, fi):
-                flags[i] = fi
-                rec(i + 1)
-        flags[i] = 0
-
-    rec(0)
-    return out
-
-
 @dataclass(frozen=True)
 class SplittingStar:
-    """The maximal oriented separations of one consistent orientation."""
+    """The oriented members at one node of the tree, one per incident edge,
+    each as (separation index, flip flag) with the node on the second side."""
 
     members: tuple  # sorted tuple of (separation index, flip flag)
 
@@ -88,38 +56,53 @@ class SplittingStar:
         return len(self.members)
 
 
-def _maximal_members(seps, flags) -> tuple:
-    oriented = [seps[i].oriented(bool(flags[i])) for i in range(len(seps))]
-    maximal = []
-    for i, (f1, s1) in enumerate(oriented):
-        dominated = False
-        for j, (f2, s2) in enumerate(oriented):
-            if i != j and oriented_le(f1, s1, f2, s2):
-                dominated = True
-                break
-        if dominated:
-            continue
-        maximal.append((i, flags[i]))
-    # every member must lie below a maximal one (finite: automatic); check
-    for i, (f1, s1) in enumerate(oriented):
-        if not any(oriented_le(f1, s1, *oriented[j]) for j, _ in maximal):
-            raise GraphError("orientation member escapes all maximal elements")
-    return tuple(sorted(maximal))
-
-
 def splitting_stars(n) -> list:
-    """The splitting stars of a nested set, one per consistent orientation."""
+    """The splitting stars of a finite nested set of proper separations,
+    sorted by their members, by the rule in the module docstring.  A node
+    arises once per incident tree edge, so a member already in a star
+    starts none; the empty set has one node.
+    """
     seps = _seps_of(n)
+    _check_nested_proper(seps)
+    # larger first side first, so a member comes after every member above it
+    oriented = sorted((((i, flag),) + s.oriented(bool(flag))
+                       for i, s in enumerate(seps) for flag in (0, 1)),
+                      key=lambda t: (-t[1].bit_count(), t[2].bit_count()))
     stars = []
-    seen = set()
-    for flags in consistent_orientations(seps):
-        star = SplittingStar(_maximal_members(seps, flags))
-        if star.members in seen:
-            raise GraphError("two consistent orientations share a splitting star")
-        seen.add(star.members)
-        stars.append(star)
-    stars.sort(key=lambda s: s.members)
-    return stars
+    placed = set()
+    for member, a, b in oriented:
+        if member in placed:
+            continue
+        star = [member]
+        tops = []
+        for m, c, d in oriented:
+            # (c, d) <= (b, a), of another separation and below no top so far
+            if (m[0] != member[0] and not (c & ~b or a & ~d)
+                    and not any(not (c & ~c2 or d2 & ~d) for c2, d2 in tops)):
+                tops.append((c, d))
+                star.append(m)
+        placed.update(star)
+        stars.append(SplittingStar(tuple(sorted(star))))
+    stars.sort(key=lambda star: star.members)
+    return stars or [SplittingStar(())]
+
+
+def consistent_orientations(n) -> list:
+    """The consistent orientations of a finite nested set of proper
+    separations, one per splitting star, in ascending order.
+
+    An orientation is a tuple of flip flags aligned with the separations;
+    flag 0 picks (A, B), flag 1 picks (B, A).  The orientation of a star
+    points every member at its node: it picks the orientation of each
+    member that lies below a member of the star.
+    """
+    seps = _seps_of(n)
+    out = []
+    for star in splitting_stars(seps):
+        tops = [seps[i].oriented(bool(flag)) for i, flag in star.members]
+        out.append(tuple(0 if any(oriented_le(s.a_mask, s.b_mask, c, d) for c, d in tops)
+                         else 1 for s in seps))
+    return sorted(out)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from localdec.tangles import (
     enumerate_tangles,
     is_tight,
     nested,
+    oriented_le,
 )
 
 from test_multigraph import (
@@ -884,9 +885,21 @@ def test_nested_set_from_a_graph_matches_the_one_pass_universe():
     assert searched >= 3
 
 
+def test_nested_matches_the_four_orientation_definition():
+    rng = random.Random(76)
+    for _ in range(2000):
+        a, b, c, d = (rng.randrange(64) for _ in range(4))
+        s = Separation(a, b, 63)
+        for t in (Separation(c, d, 63), s, Separation(b, a, 63)):
+            want = any(oriented_le(*o1, *o2)
+                       for o1 in (s.oriented(False), s.oriented(True))
+                       for o2 in (t.oriented(False), t.oriented(True)))
+            assert nested(s, t) == want
+            assert crossing(s, t) == (not want)
+
+
 def test_orientation_partial_order_antisymmetry():
     rng = random.Random(68)
-    from localdec.tangles import oriented_le
     for _ in range(10):
         g = random_connected_graph(rng, 6, 4)
         seps = enumerate_separations(g, 4)

@@ -12,7 +12,14 @@ from localdec.multigraph import (
     Multigraph,
     automorphisms,
 )
-from localdec.tangles import Separation, canonical_nested_set, enumerate_separations
+from localdec.tangles import (
+    Separation,
+    canonical_nested_set,
+    enumerate_separations,
+    is_tight,
+    nested,
+    oriented_le,
+)
 from localdec.treedecomp import (
     TreeDecomposition,
     consistent_orientations,
@@ -25,12 +32,11 @@ from localdec.treedecomp import (
 )
 
 from test_multigraph import complete_graph, path_graph, random_connected_graph
-from test_tangles import glued_cliques, two_k5s
+from test_tangles import glued_cliques, random_loopy_multigraph, two_k5s
 
 
 def orientations_brute_force(seps):
     """All consistent orientations by scanning every flag vector."""
-    from localdec.tangles import oriented_le
     out = []
     for flags in product((0, 1), repeat=len(seps)):
         ok = True
@@ -43,6 +49,100 @@ def orientations_brute_force(seps):
         if ok:
             out.append(tuple(flags))
     return out
+
+
+def orientations_backtracking(seps):
+    """All consistent orientations in ascending order, by backtracking over
+    the flags with the choices made so far as constraints."""
+    out = []
+    flags = [0] * len(seps)
+
+    def conflicts(i, fi):
+        f1, s1 = seps[i].oriented(bool(fi))
+        for j in range(i):
+            f2, s2 = seps[j].oriented(bool(flags[j]))
+            # (s1, f1) <= chosen_j  or  (s2, f2) <= chosen_i
+            if oriented_le(s1, f1, f2, s2) or oriented_le(s2, f2, f1, s1):
+                return True
+        return False
+
+    def rec(i):
+        if i == len(seps):
+            out.append(tuple(flags))
+            return
+        for fi in (0, 1):
+            if not conflicts(i, fi):
+                flags[i] = fi
+                rec(i + 1)
+        flags[i] = 0
+
+    rec(0)
+    return out
+
+
+def stars_brute_force(seps):
+    """The maximal members of each consistent orientation, sorted: the
+    splitting stars by their definition."""
+    stars = []
+    for flags in orientations_backtracking(seps):
+        oriented = [s.oriented(bool(f)) for s, f in zip(seps, flags)]
+        stars.append(tuple((i, flags[i]) for i, o in enumerate(oriented)
+                           if not any(j != i and oriented_le(*o, *p)
+                                      for j, p in enumerate(oriented))))
+    return sorted(stars)
+
+
+def assert_stars_match_brute_force(seps):
+    assert [s.members for s in splitting_stars(seps)] == stars_brute_force(seps)
+    assert consistent_orientations(seps) == orientations_backtracking(seps)
+
+
+def test_stars_match_brute_force_on_canonical_nested_sets():
+    rng = random.Random(74)
+    members = 0
+    for _ in range(300):
+        g = random_loopy_multigraph(rng, rng.randrange(0, 5))
+        for k in (2, 3, 4):
+            ns = canonical_nested_set(g, k, check_invariance=False)
+            assert_stars_match_brute_force(ns.separations)
+            members += len(ns)
+    assert members >= 500
+
+
+def side_in_separator(s, t):
+    return s.a_mask & ~t.separator == 0 or s.b_mask & ~t.separator == 0
+
+
+def test_stars_match_brute_force_on_random_nested_families():
+    # families of proper separations that need not be tight; a member with
+    # a side inside another member's separator crosses it, so a family
+    # starting from such a pair is refused as not nested
+    rng = random.Random(75)
+    compared = non_tight = refused = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            g = random_loopy_multigraph(rng, rng.randrange(0, 5))
+        else:
+            g = random_connected_graph(rng, rng.randrange(3, 9), rng.randrange(0, 4))
+        seps = enumerate_separations(g, 4)
+        if not seps:
+            continue
+        pairs = [[s, t] for s in seps for t in seps if s != t and side_in_separator(s, t)]
+        family = rng.choice(pairs) if pairs and rng.random() < 0.25 else [rng.choice(seps)]
+        for s in rng.sample(seps, len(seps)):
+            if len(family) < 12 and s not in family and all(nested(s, t) for t in family):
+                family.append(s)
+        if all(nested(s, t) for s, t in combinations(family, 2)):
+            assert not any(side_in_separator(s, t) for s in family for t in family)
+            assert_stars_match_brute_force(family)
+            induce_tree_decomposition(g, family)
+            compared += 1
+            non_tight += any(not is_tight(g, s) for s in family)
+        else:
+            with pytest.raises(GraphError, match="set of separations is not nested"):
+                splitting_stars(family)
+            refused += side_in_separator(*family[:2])
+    assert compared >= 150 and non_tight >= 100 and refused >= 15
 
 
 def test_empty_nested_set_single_orientation():
@@ -165,6 +265,15 @@ def test_rejects_crossing_input():
     assert crossing_pair is not None
     with pytest.raises(GraphError):
         induce_tree_decomposition(g, crossing_pair)
+
+
+def test_rejects_a_separation_listed_twice_with_its_sides_swapped():
+    g = two_k5s()
+    (s,) = canonical_nested_set(g, 2).separations
+    swapped = Separation(s.b_mask, s.a_mask, s.full)
+    for seps in ([s, swapped], [swapped, s], [s, s]):
+        with pytest.raises(GraphError, match="nested set lists a separation twice"):
+            induce_tree_decomposition(g, seps)
 
 
 def test_rejects_improper_input():
