@@ -35,7 +35,7 @@ from localdec.localcover import (
     verify_ball_preservation,
     verify_cover_cycle_space,
 )
-from localdec.multigraph import GraphError, InvariantError, Multigraph, UNDECIDED
+from localdec.multigraph import GraphError, InvariantError, Multigraph, UNDECIDED, _json_array
 from localdec.tangles import canonical_nested_set
 from localdec.treedecomp import (
     TreeDecomposition,
@@ -159,23 +159,13 @@ def cmd_decompose(cfg: argparse.Namespace) -> int:
     except PipelineError as exc:
         sys.stderr.write("decomposition failed: %s\n" % exc)
         if exc.diagnostics:
-            sys.stderr.write(_dump({"diagnostics": _stringify(exc.diagnostics)}))
+            sys.stderr.write(_dump({"diagnostics": exc.diagnostics}))
         return EXIT_UNCERTIFIED
     _emit(cfg, res.to_json_obj())
     _emit_dot(cfg, res.to_dot())
     if not res.report.passed or res.canonicity is False:
         return EXIT_VERIFY_FAILED
     return EXIT_OK if res.exact else EXIT_CERTIFIED
-
-
-def _stringify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def cmd_gamma_r(cfg: argparse.Namespace) -> int:
@@ -197,8 +187,8 @@ def _decomposition_from_json(obj: dict) -> GraphDecomposition:
     model = Multigraph.from_json_obj(obj["H"])
     parts = {}
     for h, sub in obj["parts"].items():
-        parts[h] = base.subgraph([v for v in sub["vertices"]],
-                                 [e["id"] for e in sub["edges"]])
+        parts[h] = base.subgraph(_json_array(sub, "vertices"),
+                                 [e["id"] for e in _json_array(sub, "edges")])
     return GraphDecomposition(base, model, parts)
 
 

@@ -29,8 +29,8 @@ from localdec.multigraph import (
     Isomorphism,
     Multigraph,
     UNDECIDED,
+    _backtrack,
     _components_masks,
-    _edge_multiplicities_ok,
     automorphism_group,
     ball,
 )
@@ -397,35 +397,10 @@ def _match_models(m1: Multigraph, content1: dict, m2: Multigraph,
                   content2: dict) -> Optional[dict]:
     """A bijection psi from the nodes of m1 onto those of m2 with
     content2[psi(h)] == content1[h] that keeps the number of edges between
-    every two nodes, loops included; None when there is none."""
-    if m1.n_vertices() != m2.n_vertices() or m1.n_edges() != m2.n_edges():
-        return None
-    by_content = {}
-    for h in m2.vertices:
-        by_content.setdefault(content2[h], []).append(h)
-    order = m1.vertices
-    assign = {}
-    used = set()
-
-    # the edge totals agree, so matching the count at every pair of m1
-    # nodes joined by an edge matches it at every pair
-    def backtrack(i):
-        if i == len(order):
-            return dict(assign)
-        h = order[i]
-        for target in by_content.get(content1[h], ()):
-            if target in used or not _edge_multiplicities_ok(m1, m2, h, target, assign):
-                continue
-            assign[h] = target
-            used.add(target)
-            res = backtrack(i + 1)
-            if res is not None:
-                return res
-            del assign[h]
-            used.discard(target)
-        return None
-
-    return backtrack(0)
+    every two nodes, loops included; None when there is none.  The
+    contents are the colours, so no refinement runs."""
+    return _backtrack(m1, m2, m1.vertices, [content1[h] for h in m1.vertices],
+                      [content2[h] for h in m2.vertices], float("inf"))[0]
 
 
 def _part_contents(d: GraphDecomposition) -> dict:

@@ -141,15 +141,8 @@ class Multigraph:
 
     def components(self):
         """Vertex sets of connected components, each a tuple in canonical order."""
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            reach = self.distances(v)
-            seen |= set(reach)
-            comps.append(tuple(u for u in self.vertices if u in reach))
-        return comps
+        b = self.bits()
+        return [self.vertices_of_mask(comp) for comp in _components_masks(b.adj, b.vall)]
 
     # -- derived graphs ----------------------------------------------------
 
@@ -255,8 +248,8 @@ class Multigraph:
     @staticmethod
     def from_json_obj(obj: dict) -> "Multigraph":
         try:
-            vs = obj["vertices"]
-            es = [(d["id"], tuple(d["ends"])) for d in obj["edges"]]
+            vs = _json_array(obj, "vertices")
+            es = [(d["id"], tuple(_json_array(d, "ends"))) for d in _json_array(obj, "edges")]
             for _, pair in es:
                 if len(pair) != 2:
                     raise GraphError("edge ends must list exactly two vertices")
@@ -271,6 +264,13 @@ class Multigraph:
     @staticmethod
     def loads(text: str) -> "Multigraph":
         return Multigraph.from_json_obj(json.loads(text))
+
+
+def _json_array(obj, key) -> list:
+    """obj[key], refused unless it is a JSON array."""
+    if not isinstance(obj[key], list):
+        raise GraphError("bad graph JSON: %s must be an array" % key)
+    return obj[key]
 
 
 @dataclass(frozen=True)
@@ -659,16 +659,16 @@ def cycle_space_basis(g: Multigraph) -> BinaryCycleSpace:
             continue
         parent = _bfs_parents(g, root)
         seen.update(parent)
+        # edge vectors of the tree paths from the root: u..v is their sum
+        to_root = {}
+        for v, p in parent.items():
+            to_root[v] = 0 if p is None else to_root[p[1]] ^ (1 << g.epos(p[0]))
         tset = {p[0] for p in parent.values() if p}
         for e in g.edges:
             u, v = g.ends[e]
             if e in tset or u not in parent:
                 continue
-            path = tree_path_walk(g, parent, u, v)
-            vec = 1 << g.epos(e)
-            for f in path.edges:
-                vec ^= 1 << g.epos(f)
-            rows.append(vec)
+            rows.append((1 << g.epos(e)) ^ to_root[u] ^ to_root[v])
     return BinaryCycleSpace(g.edges, _echelonize(rows))
 
 
@@ -815,41 +815,15 @@ def _complete_edge_map(g1, g2, vmap):
     return emap
 
 
-def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
-    """First isomorphism found by backtracking with color refinement.
-
-    With pins = (xs, ys) only isomorphisms sending xs[i] to ys[i] count.
-    Returns (hit, nodes): hit is a (vertex map, edge map) pair, None when
-    there is no such isomorphism, or UNDECIDED when the search needs more
-    than `budget` nodes; nodes counts the vertex assignments tried.
-    Vertices are assigned in a BFS-like order so that each new vertex has a
-    mapped neighbour whenever the graph is connected, which keeps candidate
-    sets small.
+def _backtrack(g1: Multigraph, g2: Multigraph, order, c1, c2, budget):
+    """First bijection, found by backtracking, of the vertices of g1 onto
+    those of g2 that keeps the colours c1, c2 (indexed by vertex position)
+    and the edge count between every two vertices, loops included.  Once
+    the edge totals agree, counts checked at the pairs joined in g1 hold at
+    every pair.  Returns (hit, nodes) as `_iso_search` does, with hit a vertex map.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None, 0
-    refined = _refine_colors((g1, g2), pins)
-    if refined is None:
-        return None, 0
-    c1, c2 = refined
-
-    order = []
-    placed = set()
-    sizes = Counter(c1)
-    ranked = sorted(g1.vertices, key=lambda v: (sizes[c1[g1.vpos(v)]], g1.vpos(v)))
-    while len(order) < len(g1.vertices):
-        seed = next(v for v in ranked if v not in placed)
-        order.append(seed)
-        placed.add(seed)
-        q = deque([seed])
-        while q:
-            u = q.popleft()
-            for e, w in g1.incident(u):
-                if w not in placed:
-                    placed.add(w)
-                    order.append(w)
-                    q.append(w)
-
     by_color = {}
     for x in g2.vertices:
         by_color.setdefault(c2[g2.vpos(x)], []).append(x)
@@ -879,8 +853,7 @@ def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
         if nodes > budget:
             return UNDECIDED
         if i == len(order):
-            emap = _complete_edge_map(g1, g2, mapping)
-            return None if emap is None else (dict(mapping), emap)
+            return dict(mapping)
         u = order[i]
         for x in candidates(u):
             nodes += 1
@@ -894,6 +867,47 @@ def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
         return None
 
     return backtrack(0), nodes
+
+
+def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
+    """First isomorphism found by backtracking with color refinement.
+
+    With pins = (xs, ys) only isomorphisms sending xs[i] to ys[i] count.
+    Returns (hit, nodes): hit is a (vertex map, edge map) pair, None when
+    there is no such isomorphism, or UNDECIDED when the search needs more
+    than `budget` nodes; nodes counts the vertex assignments tried.
+    Vertices are assigned in a BFS-like order so that each new vertex has a
+    mapped neighbour whenever the graph is connected, which keeps candidate
+    sets small.
+    """
+    # refinement finds no match between graphs of different sizes
+    refined = _refine_colors((g1, g2), pins)
+    if refined is None:
+        return None, 0
+    c1, c2 = refined
+
+    order = []
+    placed = set()
+    sizes = Counter(c1)
+    ranked = sorted(g1.vertices, key=lambda v: (sizes[c1[g1.vpos(v)]], g1.vpos(v)))
+    while len(order) < len(g1.vertices):
+        seed = next(v for v in ranked if v not in placed)
+        order.append(seed)
+        placed.add(seed)
+        q = deque([seed])
+        while q:
+            u = q.popleft()
+            for e, w in g1.incident(u):
+                if w not in placed:
+                    placed.add(w)
+                    order.append(w)
+                    q.append(w)
+
+    hit, nodes = _backtrack(g1, g2, order, c1, c2, budget)
+    if hit is not None and hit is not UNDECIDED:
+        # every edge count matches, so the edge map cannot fail
+        hit = (hit, _complete_edge_map(g1, g2, hit))
+    return hit, nodes
 
 
 def isomorphic(g1: Multigraph, g2: Multigraph, budget: int = 2_000_000):

@@ -90,6 +90,11 @@ def _nested_masks(a: int, b: int, c: int, d: int) -> bool:
             or not (b & ~c or d & ~a) or not (b & ~d or c & ~a))
 
 
+def _sorted_pair(a: int, b: int) -> tuple:
+    """A separation's identity: its unordered pair of side masks, in order."""
+    return (a, b) if a <= b else (b, a)
+
+
 def nested(s: Separation, t: Separation) -> bool:
     """Two separations are nested when some orientations are comparable."""
     return _nested_masks(s.a_mask, s.b_mask, t.a_mask, t.b_mask)
@@ -762,10 +767,10 @@ def _check_invariance(g, indices, uni, budget, group) -> Optional[bool]:
     """Invariance under a generating set, which is invariance under the group."""
     from localdec.multigraph import UNDECIDED, automorphism_group
 
-    if g.n_vertices() > 400:
-        # refinement alone is too costly there; leave invariance unchecked
-        return None
     if group is None:
+        if g.n_vertices() > 400:
+            # refinement alone is too costly there; leave invariance unchecked
+            return None
         group = automorphism_group(g, budget=budget)
     if group is UNDECIDED:
         return None
@@ -775,7 +780,7 @@ def _check_invariance(g, indices, uni, budget, group) -> Optional[bool]:
         for am, bm in current:
             x = _apply_vertex_map_to_mask(g, a, am)
             y = _apply_vertex_map_to_mask(g, a, bm)
-            mapped.add((x, y) if x <= y else (y, x))
+            mapped.add(_sorted_pair(x, y))
         if mapped != current:
             raise InvariantError("canonical nested set is not automorphism-invariant")
     return True

@@ -17,12 +17,13 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from localdec.multigraph import (UNDECIDED, GraphError, Multigraph, _components_masks,
-                                 automorphisms)
+                                 _json_array, automorphisms)
 from localdec.tangles import (
     NestedSet,
     Separation,
     _apply_vertex_map_to_mask,
     _edge_end_masks,
+    _sorted_pair,
     nested,
     oriented_le,
 )
@@ -142,15 +143,15 @@ class TreeDecomposition:
         along the stored adhesion, so a wrong adhesion fails
         `adhesion_identity`.  Splitting stars are not stored and stay empty.
         """
-        parts = {n["id"]: tuple(n["part"]) for n in obj["nodes"]}
+        parts = {n["id"]: tuple(_json_array(n, "part")) for n in _json_array(obj, "nodes")}
         tree = Multigraph(list(parts), (("s%d" % i, (d["a"], d["b"]))
-                                        for i, d in enumerate(obj["edges"])))
+                                        for i, d in enumerate(_json_array(obj, "edges"))))
         td = TreeDecomposition(g, tree, parts, {}, {}, ())
         sides = _tree_edge_sides(td, {t: td.part_mask(t) for t in parts}, tree.edges)
         full = g.bits().vall
         for e, d in zip(tree.edges, obj["edges"]):
             a, b = tree.ends[e]
-            adhesion = g.vertex_mask(d["adhesion"])
+            adhesion = g.vertex_mask(_json_array(d, "adhesion"))
             td.edge_separation[e] = Separation(
                 (sides[e, a] & ~sides[e, b]) | adhesion,
                 (sides[e, b] & ~sides[e, a]) | adhesion, full)
@@ -268,12 +269,12 @@ def induced_oriented_separation(td: TreeDecomposition, edge, towards) -> tuple:
 
 
 def _assert_round_trip(td: TreeDecomposition, sides: dict) -> None:
-    want = {(s.a_mask, s.b_mask) for s in td.separations}
+    want = {_sorted_pair(s.a_mask, s.b_mask) for s in td.separations}
     got = set()
     for e in td.tree.edges:
         a, b = td.tree.ends[e]
         am, bm = sides[e, a], sides[e, b]
-        got.add((am, bm) if am <= bm else (bm, am))
+        got.add(_sorted_pair(am, bm))
         s = td.edge_separation[e]
         if {am, bm} != {s.a_mask, s.b_mask}:
             raise GraphError("tree edge does not induce its labelling separation")
@@ -377,14 +378,13 @@ def node_map_under(td: TreeDecomposition, iso) -> Optional[dict]:
     """
     g = td.graph
     seps = td.separations
-    sep_index = {(s.a_mask, s.b_mask): i for i, s in enumerate(seps)}
+    sep_index = {_sorted_pair(s.a_mask, s.b_mask): i for i, s in enumerate(seps)}
 
     mapped_member = {}
     for i, s in enumerate(seps):
         am = _apply_vertex_map_to_mask(g, iso, s.a_mask)
         bm = _apply_vertex_map_to_mask(g, iso, s.b_mask)
-        key = (am, bm) if am <= bm else (bm, am)
-        j = sep_index.get(key)
+        j = sep_index.get(_sorted_pair(am, bm))
         if j is None:
             return None
         # by the key, am and bm are each the A or the B side of seps[j]

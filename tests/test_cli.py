@@ -353,6 +353,42 @@ _ERROR_INPUTS = {
                               "edges": [{"id": "e", "ends": ["0", "1"], "label": ["x"]}]}),
     "identity.json": json.dumps({"vertices": ["0", "1"], "identity": ["0"],
                                  "edges": [{"id": "e", "ends": ["0", "1"], "label": "x"}]}),
+    "strings.json": json.dumps({"vertices": "abc",
+                                "edges": [{"id": "e1", "ends": "ab"}, {"id": "e2", "ends": "bc"}]}),
+    "string-ends.json": json.dumps({"vertices": ["a", "b"], "edges": [{"id": "e", "ends": "ab"}]}),
+    "objects.json": json.dumps({"vertices": {"a": 0, "b": 1},
+                                "edges": [{"id": "e", "ends": {"a": 0, "b": 1}}]}),
+    "object-ends.json": json.dumps({"vertices": ["a", "b"],
+                                    "edges": [{"id": "e", "ends": {"a": 0, "b": 1}}]}),
+    "object-edges.json": json.dumps({"vertices": ["a", "b"], "edges": {"e": ["a", "b"]}}),
+}
+_PATH_ABC = {"vertices": ["a", "b", "c"], "edges": [{"id": "ab", "ends": ["a", "b"]},
+                                                    {"id": "bc", "ends": ["b", "c"]}]}
+_ARTIFACTS = {
+    "string-part.json": {"base": _PATH_ABC, "nodes": [{"id": "t0", "part": ["a", "b"]},
+                                                      {"id": "t1", "part": "bc"}],
+                         "edges": [{"a": "t0", "b": "t1", "adhesion": ["b"]}]},
+    "string-adhesion.json": {"base": _PATH_ABC, "nodes": [{"id": "t0", "part": ["a", "b"]},
+                                                          {"id": "t1", "part": ["b", "c"]}],
+                             "edges": [{"a": "t0", "b": "t1", "adhesion": "b"}]},
+    "object-nodes.json": {"base": _PATH_ABC, "nodes": {"t0": ["a", "b", "c"]}, "edges": []},
+    "object-tree-edges.json": {"base": _PATH_ABC, "nodes": [{"id": "t0", "part": ["a", "b", "c"]}],
+                               "edges": {"s0": ["t0", "t0"]}},
+    "string-base.json": {"base": {"vertices": "abc", "edges": []}, "nodes": [], "edges": []},
+    "string-part-vertices.json": {
+        "base": _PATH_ABC, "H": {"vertices": ["h0"], "edges": []},
+        "parts": {"h0": {"vertices": "abc", "edges": _PATH_ABC["edges"]}}},
+    "object-part-edges.json": {
+        "base": _PATH_ABC, "H": {"vertices": ["h0"], "edges": []},
+        "parts": {"h0": {"vertices": ["a", "b", "c"], "edges": {"id": "ab"}}}},
+}
+_ERROR_INPUTS.update((name, json.dumps(obj)) for name, obj in _ARTIFACTS.items())
+_ARRAY_ERRORS = {
+    "strings.json": "vertices", "string-ends.json": "ends", "objects.json": "vertices",
+    "object-ends.json": "ends", "object-edges.json": "edges", "string-part.json": "part",
+    "string-adhesion.json": "adhesion", "object-nodes.json": "nodes",
+    "object-tree-edges.json": "edges", "string-base.json": "vertices",
+    "string-part-vertices.json": "vertices", "object-part-edges.json": "edges",
 }
 _MISSING = "error: [Errno 2] No such file or directory: 'nope.json'"
 _R_ERROR = "error: --r must be at least 1"
@@ -378,6 +414,11 @@ def _error_table():
                "error: input graph is disconnected")
         yield ([cmd, "--input", "lists.json"] + extra,
                "error: bad graph JSON: unhashable type: 'list'")
+        # a graph field that must be a JSON array is refused otherwise
+        for name in ("strings.json", "string-ends.json", "objects.json",
+                     "object-ends.json", "object-edges.json"):
+            yield ([cmd, "--input", name] + extra,
+                   "error: bad graph JSON: %s must be an array" % _ARRAY_ERRORS[name])
         if "--r" in extra:
             flags = extra[2:]   # what follows "--r 1"
             yield [cmd, "--input", "edge.json", "--r", "0"] + flags, _R_ERROR
@@ -386,6 +427,10 @@ def _error_table():
                    _R_ERROR if cmd == "gamma-r" else _MISSING)
     yield (["gamma-r", "--input", "edge.json", "--r", "1"],
            "error: gamma-r needs a labelled Cayley graph (--labelled)")
+    # so is a tree or decomposition artifact's, and its base graph's, for verify
+    for name in _ARTIFACTS:
+        yield (["verify", "--input", name],
+               "error: bad graph JSON: %s must be an array" % _ARRAY_ERRORS[name])
     # a label or an identity JSON cannot hash names the labelled graph
     for name in ("label.json", "identity.json"):
         yield (["gamma-r", "--input", name, "--r", "1", "--labelled"],

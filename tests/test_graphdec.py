@@ -1,7 +1,8 @@
 """Tests for graph-decompositions, quotients, the Cayley model and the pipeline."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from localdec.graphdec import (
     DecompositionError,
     GraphDecomposition,
     PipelineError,
+    _match_models,
     cayley_model_decomposition,
     decompose,
     decompositions_agree,
@@ -469,6 +471,76 @@ def test_decompositions_agree_moves_loops_with_their_parts():
 
     assert decompositions_agree(d, renamed("y"))
     assert not decompositions_agree(d, renamed("x"))
+
+
+def random_model(rng, letters):
+    """A multigraph model on 1 to 6 nodes with loops and parallel edges, and
+    a content per node drawn from `letters`, so that contents repeat."""
+    n = rng.randrange(1, 7)
+    nodes = [f"h{i}" for i in range(n)]
+    edges = []
+    for k in range(rng.randrange(0, 9)):
+        u = rng.choice(nodes)
+        v = u if rng.random() < 0.25 else rng.choice(nodes)
+        edges.append((f"f{k}", (u, v)))
+        if rng.random() < 0.3:
+            edges.append((f"f{k}p", (u, v)))
+    return Multigraph(nodes, edges), {h: rng.choice(letters) for h in nodes}
+
+
+def model_maps_brute_force(m1, content1, m2, content2):
+    """Every bijection of the nodes that keeps contents and the number of
+    edges between every two nodes, loops included."""
+    want = Counter(frozenset(m2.ends[f]) for f in m2.edges)
+    out = []
+    if len(m1.vertices) != len(m2.vertices):
+        return out
+    for perm in permutations(m2.vertices):
+        psi = dict(zip(m1.vertices, perm))
+        if (all(content2[psi[h]] == content1[h] for h in m1.vertices)
+                and Counter(frozenset(psi[x] for x in m1.ends[f])
+                            for f in m1.edges) == want):
+            out.append(psi)
+    return out
+
+
+def test_model_maps_match_brute_force():
+    rng = random.Random(89)
+    found = missed = 0
+    for case in range(240):
+        letters = "ab" if case % 2 else "abc"
+        m1, content1 = random_model(rng, letters)
+        if rng.random() < 0.5:
+            # a renamed, reordered copy, perhaps with one content or edge moved
+            perm = list(m1.vertices)
+            rng.shuffle(perm)
+            rename = {h: "x" + p[1:] for h, p in zip(m1.vertices, perm)}
+            edges = [(f, (rename[u], rename[v])) for f, (u, v) in m1.ends.items()]
+            rng.shuffle(edges)
+            if edges and rng.random() < 0.3:
+                f, (u, _v) = edges[0]
+                edges[0] = (f, (u, rename[rng.choice(m1.vertices)]))
+            m2 = Multigraph(sorted(rename.values()), edges)
+            content2 = {rename[h]: c for h, c in content1.items()}
+            if rng.random() < 0.2:
+                content2[rng.choice(m2.vertices)] = rng.choice(letters)
+        else:
+            m2, content2 = random_model(rng, letters)
+        expected = model_maps_brute_force(m1, content1, m2, content2)
+        psi = _match_models(m1, content1, m2, content2)
+        if expected:
+            assert psi in expected
+            found += 1
+        else:
+            assert psi is None
+            missed += 1
+        # the same question through decompositions_agree: the contents
+        # become parts, one base vertex per letter
+        base = Multigraph(letters, [])
+        d1 = GraphDecomposition(base, m1, {h: base.subgraph([c], []) for h, c in content1.items()})
+        d2 = GraphDecomposition(base, m2, {h: base.subgraph([c], []) for h, c in content2.items()})
+        assert decompositions_agree(d1, d2) is bool(expected)
+    assert found >= 60 and missed >= 60
 
 
 # ---------------------------------------------------------------------------

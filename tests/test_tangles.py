@@ -5,7 +5,13 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from localdec.multigraph import GraphError, Multigraph
+from localdec.multigraph import (
+    GraphError,
+    InvariantError,
+    Isomorphism,
+    Multigraph,
+    automorphism_group,
+)
 from localdec.tangles import (
     NestedSet,
     Separation,
@@ -839,6 +845,24 @@ def test_nested_set_tags_cover_pairs():
     assert ns.tags
     for i, pairs in ns.tags.items():
         assert pairs
+
+
+def test_invariance_is_checked_above_400_vertices_when_the_group_is_given():
+    # a 401-cycle with a pendant edge: refinement is left out above 400
+    # vertices, but a group the caller passes needs none
+    n = 401
+    g = Multigraph(range(n + 1), [(f"c{i}", (i, (i + 1) % n)) for i in range(n)]
+                   + [("p", (0, n))])
+    assert canonical_nested_set(g, 2).invariance_checked is None
+    group = automorphism_group(g)
+    assert group[1] == 2
+    ns = canonical_nested_set(g, 2, group=group)
+    assert len(ns) == 1
+    assert ns.invariance_checked is True
+    # the check runs: a rotation of the cycle moves the pendant's separation
+    rotation = Isomorphism({v: (v + 1) % n if v < n else v for v in g.vertices}, {})
+    with pytest.raises(InvariantError, match="not automorphism-invariant"):
+        canonical_nested_set(g, 2, group=([rotation], n))
 
 
 def test_nested_set_invariant_and_nested_on_random_graphs():

@@ -276,6 +276,42 @@ def test_rejects_a_separation_listed_twice_with_its_sides_swapped():
             induce_tree_decomposition(g, seps)
 
 
+def _tree_shape(td):
+    """The tree with each node named by its part: the parts, and each edge
+    as the pair of its end parts with its adhesion."""
+    return ({td.parts[t] for t in td.tree.vertices},
+            {(frozenset(td.parts[t] for t in td.tree.ends[e]), td.adhesion(e))
+             for e in td.tree.edges})
+
+
+def test_sides_listed_in_either_order_give_the_same_tree():
+    g = Multigraph("abc", [("ab", ("a", "b")), ("bc", ("b", "c"))])
+    full = g.bits().vall
+    ab, bc = g.vertex_mask("ab"), g.vertex_mask("bc")
+    td = induce_tree_decomposition(g, [Separation(ab, bc, full)])
+    swapped = induce_tree_decomposition(g, [Separation(bc, ab, full)])
+    assert _tree_shape(swapped) == _tree_shape(td) == (
+        {("a", "b"), ("b", "c")}, {(frozenset({("a", "b"), ("b", "c")}), ("b",))})
+    for t in (td, swapped):
+        assert node_map_under(t, Isomorphism.identity(g)) == {n: n for n in t.tree.vertices}
+    # a nested set with every member's sides swapped gives the same tree,
+    # and the same automorphisms act on it
+    for g in (two_k5s(), glued_cliques(3, clique=4), glued_cliques(4, clique=3)):
+        seps = canonical_nested_set(g, 4).separations
+        assert len(seps) >= 1
+        td = induce_tree_decomposition(g, seps)
+        swapped = induce_tree_decomposition(
+            g, [Separation(s.b_mask, s.a_mask, s.full) for s in seps])
+        assert _tree_shape(swapped) == _tree_shape(td)
+        for a in automorphisms(g):
+            part_maps = []
+            for t in (td, swapped):
+                m = node_map_under(t, a)
+                assert m is not None
+                part_maps.append({t.parts[n]: t.parts[m[n]] for n in m})
+            assert part_maps[0] == part_maps[1]
+
+
 def test_rejects_improper_input():
     g = path_graph(3)
     full = g.bits().vall
