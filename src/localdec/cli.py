@@ -182,11 +182,19 @@ def cmd_gamma_r(cfg: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _json_object(obj, key) -> dict:
+    """obj[key], refused unless it is a JSON object."""
+    if not isinstance(obj[key], dict):
+        raise GraphError("bad graph JSON: %s must be an object" % key)
+    return obj[key]
+
+
 def _decomposition_from_json(obj: dict) -> GraphDecomposition:
     base = Multigraph.from_json_obj(obj["base"])
     model = Multigraph.from_json_obj(obj["H"])
     parts = {}
-    for h, sub in obj["parts"].items():
+    for h in _json_object(obj, "parts"):
+        sub = _json_object(obj["parts"], h)
         parts[h] = base.subgraph(_json_array(sub, "vertices"),
                                  [e["id"] for e in _json_array(sub, "edges")])
     return GraphDecomposition(base, model, parts)
@@ -215,8 +223,8 @@ def _verify_decomposition_artifact(obj: dict) -> dict:
 def _cover_from_json(obj: dict, r: int):
     base = Multigraph.from_json_obj(obj["base"])
     graph = Multigraph.from_json_obj(obj["graph"])
-    proj_v = obj["projection"]["vertices"]
-    proj_e = obj["projection"]["edges"]
+    proj_v = _json_object(_json_object(obj, "projection"), "vertices")
+    proj_e = _json_object(obj["projection"], "edges")
     if not obj.get("truncated"):
         # the artifact records no base point
         return GeneralCover(base, graph, proj_v, proj_e, None)

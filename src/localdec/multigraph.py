@@ -748,44 +748,46 @@ def is_valid_isomorphism(g1: Multigraph, g2: Multigraph, iso: Isomorphism) -> bo
     return True
 
 
-def _initial_colors(g: Multigraph, pinned):
-    pin = {v: i for i, v in enumerate(pinned)}
-    cols = []
-    for v in g.vertices:
-        loops = sum(1 for e, w in g.incident(v) if w == v)
-        cols.append((g.degree(v), loops, pin.get(v, -1)))
-    return cols
+def _refine_start(g: Multigraph):
+    """(neighbour positions, colours) that `_refine` starts from: one position
+    per incident edge, a loop once, and the degree and loop count of each vertex."""
+    return ([[g.vpos(w) for e, w in g.incident(v)] for v in g.vertices],
+            [(g.degree(v), sum(1 for e, w in g.incident(v) if w == v)) for v in g.vertices])
 
 
-def _refine_colors(graphs, pins):
-    """Synchronized 1-dimensional color refinement of one or more graphs.
+def _refine(nbrs, cols, rounds=None):
+    """1-dimensional colour refinement of one graph, given by the neighbour
+    positions `nbrs` of each vertex, from the colours `cols`.
 
-    pins[k] lists vertices of graphs[k] to individualize: the i-th pinned
-    vertex of every graph gets one color of its own.  Returns one color
-    list per graph, indexed by vertex position, or None when the class
-    sizes of two graphs split apart.
+    Each round names the signatures (colour, sorted neighbour colours) in
+    order of first occurrence.  Without `rounds`, refines until a round
+    splits no class and returns (colours, rounds), with one (names, class
+    sizes) pair recorded per round.  Given another graph's rounds, replays
+    them instead and returns the colours under that graph's names, or None
+    once a signature is missing from a round's names or a class size
+    differs.  That is the answer of refining both graphs jointly: a
+    signature the first graph lacks is a class of size 0 against at least
+    1, and once the first graph is stable with equal class sizes, every
+    signature of the second is one of its own, so the second is stable in
+    the same round.
     """
-    cols = [_initial_colors(g, p) for g, p in zip(graphs, pins)]
-    nbrs = [[[g.vpos(w) for e, w in g.incident(v)] for v in g.vertices] for g in graphs]
+    if rounds is not None:
+        for names, sizes in rounds:
+            cols = [names.get((c, tuple(sorted([cols[j] for j in nb]))))
+                    for c, nb in zip(cols, nbrs)]
+            if None in cols or Counter(cols) != sizes:
+                return None
+        return cols
+    rounds = []
+    n_classes = len(set(cols))
     while True:
-        key = {}
-        for cs in cols:
-            for c in cs:
-                key.setdefault(c, len(key))
-        cols = [[key[c] for c in cs] for cs in cols]
-        sizes = Counter(cols[0])
-        if any(Counter(cs) != sizes for cs in cols[1:]):
-            return None
-        sigs = [[(cs[i], tuple(sorted(cs[j] for j in nb))) for i, nb in enumerate(nbs)]
-                for cs, nbs in zip(cols, nbrs)]
-        key = {}
-        for sig in sigs:
-            for s in sig:
-                key.setdefault(s, len(key))
-        refined = [[key[s] for s in sig] for sig in sigs]
-        if refined == cols:
-            return cols
-        cols = refined
+        names = {}
+        cols = [names.setdefault((c, tuple(sorted([cols[j] for j in nb]))), len(names))
+                for c, nb in zip(cols, nbrs)]
+        rounds.append((names, Counter(cols)))
+        if len(names) == n_classes:
+            return cols, rounds
+        n_classes = len(names)
 
 
 def _edge_multiplicities_ok(g1, g2, u, x, mapping):
@@ -869,22 +871,20 @@ def _backtrack(g1: Multigraph, g2: Multigraph, order, c1, c2, budget):
     return backtrack(0), nodes
 
 
-def _iso_search(g1: Multigraph, g2: Multigraph, budget: int, pins=((), ())):
-    """First isomorphism found by backtracking with color refinement.
+def _iso_search(g1: Multigraph, g2: Multigraph, c1, c2, budget: int):
+    """First isomorphism found by backtracking from the refined colours c1 of
+    g1 and c2 of g2 (`_refine`, in one naming), keeping colours.
 
-    With pins = (xs, ys) only isomorphisms sending xs[i] to ys[i] count.
-    Returns (hit, nodes): hit is a (vertex map, edge map) pair, None when
+    c2 is None when refinement already tells the graphs apart.  Returns
+    (hit, nodes): hit is a (vertex map, edge map) pair, None when
     there is no such isomorphism, or UNDECIDED when the search needs more
     than `budget` nodes; nodes counts the vertex assignments tried.
     Vertices are assigned in a BFS-like order so that each new vertex has a
     mapped neighbour whenever the graph is connected, which keeps candidate
     sets small.
     """
-    # refinement finds no match between graphs of different sizes
-    refined = _refine_colors((g1, g2), pins)
-    if refined is None:
+    if c2 is None:
         return None, 0
-    c1, c2 = refined
 
     order = []
     placed = set()
@@ -916,7 +916,8 @@ def isomorphic(g1: Multigraph, g2: Multigraph, budget: int = 2_000_000):
     Returns an Isomorphism, None when provably non-isomorphic, or UNDECIDED
     when the search budget runs out.
     """
-    hit, _nodes = _iso_search(g1, g2, budget)
+    c1, rounds = _refine(*_refine_start(g1))
+    hit, _nodes = _iso_search(g1, g2, c1, _refine(*_refine_start(g2), rounds), budget)
     if hit is None or hit is UNDECIDED:
         return hit
     return Isomorphism(*hit)
@@ -947,10 +948,19 @@ def automorphism_group(g: Multigraph, budget: int = 2_000_000):
     strong generating set, so the order is the product of the base
     points' orbit lengths (Seress, Permutation Group Algorithms, 2003).
     All searches share one node budget; running out gives UNDECIDED.
+
+    Refinement runs once per level: level 0 refines the start colours, and
+    level i refines level i-1's colours with b_i individualized.  The
+    coarsest equitable refinement is unique, so this gives the classes of
+    refining from the start colours with b_1..b_i individualized.  The
+    search for w in the class of b_i refines a second copy: level i-1's
+    colours with w individualized, replayed through level i's rounds (`_refine`).
     """
+    nbrs, start = _refine_start(g)
+    levels = [_refine(nbrs, start)]
     base, cells = [], []
     while True:
-        (colors,) = _refine_colors((g,), (base,))
+        colors = levels[-1][0]
         classes = {}
         for v, c in zip(g.vertices, colors):
             classes.setdefault(c, []).append(v)
@@ -960,17 +970,21 @@ def automorphism_group(g: Multigraph, budget: int = 2_000_000):
         cell = min(open_cells, key=len)
         base.append(cell[0])
         cells.append(cell)
+        p = g.vpos(cell[0])
+        levels.append(_refine(nbrs, [-1 if j == p else c for j, c in enumerate(colors)]))
     gens = []
     order = 1
     spent = 0
     for i in range(len(base) - 1, -1, -1):
         orbit = _orbit(base[i], gens)
         ruled_out = set()
+        colors, (c1, rounds) = levels[i][0], levels[i + 1]
         for w in cells[i]:
             if w in orbit or w in ruled_out:
                 continue
-            hit, nodes = _iso_search(g, g, budget - spent,
-                                     (base[:i + 1], base[:i] + [w]))
+            p = g.vpos(w)
+            c2 = _refine(nbrs, [-1 if j == p else c for j, c in enumerate(colors)], rounds)
+            hit, nodes = _iso_search(g, g, c1, c2, budget - spent)
             spent += nodes
             if hit is UNDECIDED:
                 return UNDECIDED

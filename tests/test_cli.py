@@ -390,6 +390,24 @@ _ARRAY_ERRORS = {
     "object-tree-edges.json": "edges", "string-base.json": "vertices",
     "string-part-vertices.json": "vertices", "object-part-edges.json": "edges",
 }
+_ONE_VERTEX = {"vertices": ["a"], "edges": []}
+_OBJECT_ARTIFACTS = {
+    "array-parts.json": ({"base": _ONE_VERTEX, "H": {"vertices": ["h0"], "edges": []},
+                          "parts": []}, "parts"),
+    "int-parts.json": ({"base": _ONE_VERTEX, "H": {"vertices": ["h0"], "edges": []},
+                        "parts": 5}, "parts"),
+    "int-part.json": ({"base": _ONE_VERTEX, "H": {"vertices": ["h0"], "edges": []},
+                       "parts": {"h0": 5}}, "h0"),
+    "array-projection.json": ({"base": _ONE_VERTEX, "graph": _ONE_VERTEX,
+                               "projection": []}, "projection"),
+    "array-projection-vertices.json": ({"base": _ONE_VERTEX, "graph": _ONE_VERTEX,
+                                        "projection": {"vertices": ["a"], "edges": {}}},
+                                       "vertices"),
+    "array-projection-edges.json": ({"base": _ONE_VERTEX, "graph": _ONE_VERTEX,
+                                     "projection": {"vertices": {"a": "a"}, "edges": []}},
+                                    "edges"),
+}
+_ERROR_INPUTS.update((name, json.dumps(obj)) for name, (obj, _) in _OBJECT_ARTIFACTS.items())
 _MISSING = "error: [Errno 2] No such file or directory: 'nope.json'"
 _R_ERROR = "error: --r must be at least 1"
 
@@ -431,6 +449,10 @@ def _error_table():
     for name in _ARTIFACTS:
         yield (["verify", "--input", name],
                "error: bad graph JSON: %s must be an array" % _ARRAY_ERRORS[name])
+    # a decomposition's parts and a cover's projection must be JSON objects
+    for name, (_, key) in _OBJECT_ARTIFACTS.items():
+        yield (["verify", "--input", name],
+               "error: bad graph JSON: %s must be an object" % key)
     # a label or an identity JSON cannot hash names the labelled graph
     for name in ("label.json", "identity.json"):
         yield (["gamma-r", "--input", name, "--r", "1", "--labelled"],

@@ -1,6 +1,7 @@
 """Tests for the multigraph layer, checked against brute-force oracles."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -13,6 +14,8 @@ from localdec.multigraph import (
     Multigraph,
     UNDECIDED,
     Walk,
+    _refine,
+    _refine_start,
     automorphism_group,
     automorphisms,
     ball,
@@ -718,6 +721,141 @@ def test_automorphisms_match_brute_force_on_multigraphs():
         assert got == expected
         assert automorphism_group(g)[1] == len(expected)
     assert disconnected >= 10
+
+
+def joint_refinement(graphs, pins):
+    """The two-graph colour refinement that `_refine`'s replay replaced,
+    kept as its referee: both graphs refined together from degree, loop
+    count and pin index, with colours named over both; None once the class
+    sizes of the two split apart."""
+    cols = []
+    for g, pinned in zip(graphs, pins):
+        pin = {v: i for i, v in enumerate(pinned)}
+        cols.append([(g.degree(v), sum(1 for e, w in g.incident(v) if w == v), pin.get(v, -1))
+                     for v in g.vertices])
+    nbrs = [[[g.vpos(w) for e, w in g.incident(v)] for v in g.vertices] for g in graphs]
+    while True:
+        key = {}
+        for cs in cols:
+            for c in cs:
+                key.setdefault(c, len(key))
+        cols = [[key[c] for c in cs] for cs in cols]
+        sizes = Counter(cols[0])
+        if any(Counter(cs) != sizes for cs in cols[1:]):
+            return None
+        sigs = [[(cs[i], tuple(sorted(cs[j] for j in nb))) for i, nb in enumerate(nbs)]
+                for cs, nbs in zip(cols, nbrs)]
+        key = {}
+        for sig in sigs:
+            for s in sig:
+                key.setdefault(s, len(key))
+        refined = [[key[s] for s in sig] for sig in sigs]
+        if refined == cols:
+            return cols
+        cols = refined
+
+
+def replayed_refinement(g1, g2, xs, ys):
+    """The route of `automorphism_group`: g1 refined once per pin, each level
+    from the last with the next pin individualized, and g2 replayed through
+    g1's rounds at every level."""
+    (nbrs1, c1), (nbrs2, c2) = _refine_start(g1), _refine_start(g2)
+    for k in range(len(xs) + 1):
+        if k:
+            c1[g1.vpos(xs[k - 1])] = -1
+            c2[g2.vpos(ys[k - 1])] = -1
+        c1, rounds = _refine(nbrs1, c1)
+        c2 = _refine(nbrs2, c2, rounds)
+        if c2 is None:
+            return None
+    return c1, c2
+
+
+def colour_classes(c1, c2):
+    """Each colour's (class in the first graph, class in the second), as
+    sets of vertex positions."""
+    pairs = {}
+    for k, cs in enumerate((c1, c2)):
+        for i, c in enumerate(cs):
+            pairs.setdefault(c, (set(), set()))[k].add(i)
+    return {(frozenset(a), frozenset(b)) for a, b in pairs.values()}
+
+
+def cycle_union(lengths):
+    """Disjoint cycles of the given lengths; a 2-cycle is two parallel edges."""
+    edges, first = [], 0
+    for n in lengths:
+        edges += [("c%d" % (first + i), (first + i, first + (i + 1) % n)) for i in range(n)]
+        first += n
+    return Multigraph(range(first), edges)
+
+
+def refinement_pairs(rng):
+    """(kind, g1, g2, pins of g1, pins of g2): a seeded loopy graph against
+    a relabelled copy and against a graph with its degrees, and one cycle
+    against two."""
+    g = random_loopy_graph(rng)
+    vs, es = list(g.vertices), list(g.edges)
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    vmap = {v: "r%d" % v for v in vs}
+    h = Multigraph([vmap[v] for v in vs],
+                   [("f" + e, tuple(vmap[u] for u in g.ends[e])) for e in es])
+    xs = rng.sample(g.vertices, rng.randrange(1, 3))
+    yield "relabelled", g, h, (), ()
+    yield "matched pins", g, h, xs, [vmap[x] for x in xs]
+    yield "mismatched pins", g, h, xs, rng.sample(h.vertices, len(xs))
+    # swap the ends of two edges, which keeps the degrees, until the
+    # graphs are not isomorphic
+    for _ in range(20):
+        a, b = rng.choice(g.edges), rng.choice(g.edges)
+        ends = dict(g.ends)
+        ends[a], ends[b] = (g.ends[a][0], g.ends[b][1]), (g.ends[b][0], g.ends[a][1])
+        other = Multigraph(g.vertices, ends.items())
+        if isomorphic(g, other) is None:
+            yield "not isomorphic", g, other, (), ()
+            break
+    # one cycle against two: all degrees are 2, so refinement alone cannot
+    # tell them apart, and a pin in each may or may not
+    n = rng.randrange(4, 11)
+    m = rng.randrange(2, n - 1)
+    yield "not isomorphic", cycle_union([m, n - m]), cycle_union([n]), (), ()
+    yield ("not isomorphic", cycle_union([m, n - m]), cycle_union([n]),
+           [rng.randrange(n)], [rng.randrange(n)])
+
+
+def test_replayed_refinement_matches_joint_refinement():
+    rng = random.Random(73)
+    seen = Counter()
+    for _ in range(130):
+        for kind, g1, g2, pins1, pins2 in refinement_pairs(rng):
+            want = joint_refinement((g1, g2), (pins1, pins2))
+            got = replayed_refinement(g1, g2, pins1, pins2)
+            seen[kind, want is None] += 1
+            assert (got is None) == (want is None)
+            if want is not None:
+                want_classes, got_classes = colour_classes(*want), colour_classes(*got)
+                for side in (0, 1):
+                    assert ({pair[side] for pair in got_classes}
+                            == {pair[side] for pair in want_classes})
+                assert got_classes == want_classes
+    assert sum(seen.values()) >= 300
+    assert seen["relabelled", False] == seen["matched pins", False] == 130
+    for kind in ("mismatched pins", "not isomorphic"):
+        assert seen[kind, True] >= 20 and seen[kind, False] >= 20
+
+
+def test_automorphism_search_budgets_are_pinned():
+    from test_graphdec import necklace
+
+    # the smallest budget each search needs; one node less is UNDECIDED,
+    # so a rewrite that changes the search path shows here
+    rng = random.Random(89)
+    loopy = [random_loopy_graph(rng) for _ in range(168)]
+    for g, need, order in ((necklace(4), 160, 10_368), (necklace(6), 336, 559_872),
+                           (loopy[6], 35, 240), (loopy[26], 28, 48), (loopy[167], 28, 120)):
+        assert automorphism_group(g, need - 1) is UNDECIDED
+        assert automorphism_group(g, need)[1] == order
 
 
 def test_relabel_vertices_and_edges():
