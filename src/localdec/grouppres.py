@@ -228,16 +228,62 @@ class CosetTable:
     generator/inverse.  `complete` tables define a transitive action under
     which every relator fixes every coset; partial tables are consistent
     with every relator scan performed before the coset budget ran out.
+
+    A table that `_coset_tables` returns keeps the enumeration's raw rows
+    and standardizes them as they are read (`_standardize`): `step` and
+    `trace` renumber breadth-first only up to the row they read, while
+    `table`, `n_cosets` and `repr` renumber to the end.  Breadth-first
+    order does not depend on how far it has been run, so every read sees
+    the rows of the fully standardized table.
     """
 
-    __slots__ = ("generators", "table", "complete", "limit", "defined_total")
+    __slots__ = ("generators", "complete", "limit", "defined_total",
+                 "_rows", "_raw", "_bound", "_order", "_index")
 
     def __init__(self, generators, table, complete, limit, defined_total):
         self.generators = tuple(generators)
-        self.table = table
         self.complete = complete
         self.limit = limit
         self.defined_total = defined_total
+        self._rows = table
+        self._raw = None            # nothing left to standardize
+
+    @classmethod
+    def _snapshot(cls, generators, raw, bound, complete, limit, defined_total):
+        """The table of the raw rows of `_coset_tables` below `bound`,
+        numbered from 1 with 0 for an undefined entry, standardized as read."""
+        t = cls(generators, [], complete, limit, defined_total)
+        t._raw, t._bound = raw, bound
+        t._order = [1]              # raw cosets in breadth-first order
+        t._index = {1: 0}           # coset 1 is never merged into another coset
+        return t
+
+    def _standardize(self, coset: Optional[int]) -> list:
+        """The rows standardized so far, extended past `coset` (to the end
+        for None): live rows renumbered breadth-first from the trivial
+        coset, in column order, from 0 and with -1 for an undefined entry.
+        Rows at or above the bound are left out: a partial table keeps
+        only the rows below the first unprocessed coset, which are fully
+        processed (every relator scanned and every entry defined), while
+        later rows may carry stray definitions whose scans never ran."""
+        rows, raw = self._rows, self._raw
+        if raw is None:
+            return rows
+        order, index, bound = self._order, self._index, self._bound
+        while len(rows) < len(order) and (coset is None or len(rows) <= coset):
+            row = raw[order[len(rows)]]
+            for t in row:
+                if 0 < t < bound and t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+            rows.append([index.get(t, -1) for t in row])
+        if len(rows) == len(order):
+            self._raw = self._order = self._index = None
+        return rows
+
+    @property
+    def table(self) -> list:
+        return self._standardize(None)
 
     @property
     def identity(self) -> int:
@@ -251,7 +297,12 @@ class CosetTable:
         if not 0 < a <= len(self.generators):
             raise PresentationError("letter %d is not in +-1..+-%d"
                                     % (letter, len(self.generators)))
-        entry = self.table[coset][2 * (a - 1) + (letter < 0)]
+        rows = self._rows
+        if coset >= len(rows):
+            rows = self._standardize(coset)
+        if not 0 <= coset < len(rows):
+            raise PresentationError("coset %d is not in the table" % coset)
+        entry = rows[coset][2 * (a - 1) + (letter < 0)]
         return None if entry < 0 else entry
 
     def trace(self, coset: int, word: FreeWord) -> Optional[int]:
@@ -293,10 +344,13 @@ def _coset_tables(p: Presentation, limits) -> list:
     limits L, taken from one enumeration.
 
     At the first live coset where more than L cosets have been defined,
-    the run takes a standardized snapshot and goes on to the next limit.
-    Standardizing only renumbers live rows, so the run continues from the
-    state in which the one-limit run stops.  A run that closes gives its
-    complete table for every limit not yet reached.  Each coincidence
+    the run takes a snapshot of its rows and goes on to the next limit;
+    the run continues from the state in which the one-limit run stops.
+    A run that closes gives its complete table for every limit not yet
+    reached.  A snapshot is standardized only as far as it is read
+    (`CosetTable._standardize`): every snapshot but the last keeps a copy
+    of the live rows below the first unprocessed coset, and the last one,
+    or a complete table, keeps the working table itself.  Each coincidence
     clears every reference to the cosets it kills and releases their
     rows, so once it returns no live row names a dead coset: the scans
     and the snapshots read entries directly, and the union-find serves
@@ -366,24 +420,6 @@ def _coset_tables(p: Presentation, limits) -> list:
                     dead.append(t)
             table[y] = None
 
-    def standardize(alpha):
-        """Live rows renumbered breadth-first from the trivial coset, in
-        column order, from 0 and with -1 for an undefined entry.  A
-        partial table (alpha is not None) keeps only the rows below alpha,
-        which are fully processed: every relator scanned and every entry
-        defined.  Later rows may carry stray definitions whose relator
-        scans never ran."""
-        bound = len(table) if alpha is None else alpha
-        index = [-1] * len(table)   # so index[0], an undefined entry, is -1
-        index[1] = 0                # coset 1 is never merged into another coset
-        order = [1]
-        for a in order:
-            for t in table[a]:
-                if index[t] < 0 and 0 < t < bound:
-                    index[t] = len(order)
-                    order.append(t)
-        return [[index[t] for t in table[a]] for a in order]
-
     tables = []
     alpha = 1
     while alpha < len(table):
@@ -392,9 +428,13 @@ def _coset_tables(p: Presentation, limits) -> list:
             alpha += 1
             continue
         while defined > limits[len(tables)]:
-            tables.append(CosetTable(p.generators, standardize(alpha), False,
-                                     limits[len(tables)], defined))
-            if len(tables) == len(limits):
+            # the run goes on and rewrites its rows, so every snapshot but
+            # the last keeps a copy of those below alpha
+            last = len(tables) + 1 == len(limits)
+            rows = table if last else [r if r is None else r[:] for r in table[:alpha]]
+            tables.append(CosetTable._snapshot(p.generators, rows, alpha, False,
+                                               limits[len(tables)], defined))
+            if last:
                 return tables
         for cols in rel_cols:
             f = b = alpha
@@ -447,8 +487,8 @@ def _coset_tables(p: Presentation, limits) -> list:
                     defined += 1
         alpha += 1
 
-    rows = standardize(None)
-    return tables + [CosetTable(p.generators, rows, True, limit, defined)
+    return tables + [CosetTable._snapshot(p.generators, table, len(table), True,
+                                          limit, defined)
                      for limit in limits[len(tables):]]
 
 

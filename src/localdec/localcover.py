@@ -388,6 +388,9 @@ def local_cover(g: Multigraph, r: int, coset_limit: int = 100_000,
     the coset budget is doubled.  One enumeration gives the tables at
     `coset_limit` and at twice it, the same tables `todd_coxeter` returns
     at each limit; a run that closes below `coset_limit` stops there.
+    The balls step only from the cosets they hold, so only those rows of
+    either table are standardized (on necklace(4), rows 0-6 of 13,333
+    and of 26,667).
     A chord's letter is positive when crossed from its lower endpoint in
     vertex order, and an edge's voltage is that of its listed orientation,
     so no result depends on which way round an edge's ends are listed.

@@ -823,9 +823,22 @@ def _backtrack(g1: Multigraph, g2: Multigraph, order, c1, c2, budget):
     and the edge count between every two vertices, loops included.  Once
     the edge totals agree, counts checked at the pairs joined in g1 hold at
     every pair.  Returns (hit, nodes) as `_iso_search` does, with hit a vertex map.
+
+    When every colour of c2 names one vertex, the colours force the map,
+    and one comparison of the mapped edge ends tests it.  A hit is the map
+    the search would find with one node per vertex; a miss is left to the
+    search, so hits, UNDECIDED and node counts are the search's own.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None, 0
+    where = {c: j for j, c in enumerate(c2)}
+    if len(where) == len(c2) and len(order) <= budget:
+        forced = [where.get(c) for c in c1]
+        if None not in forced and len(set(forced)) == len(forced):
+            ends1 = sorted((min(forced[a], forced[b]), max(forced[a], forced[b]))
+                           for a, b in g1.bits().epairs)
+            if ends1 == sorted((min(a, b), max(a, b)) for a, b in g2.bits().epairs):
+                return {u: g2.vertices[forced[g1.vpos(u)]] for u in order}, len(order)
     by_color = {}
     for x in g2.vertices:
         by_color.setdefault(c2[g2.vpos(x)], []).append(x)

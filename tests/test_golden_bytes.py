@@ -117,3 +117,17 @@ CASES = _cases()
 @pytest.mark.parametrize("name,g,argv", CASES, ids=[c[0] for c in CASES])
 def test_pinned_output_bytes(tmp_path, name, g, argv):
     assert run_case(tmp_path, name, g, argv) == PINNED[name]
+
+
+# `cover --r 3` with the default coset limit (100,000) and radius (10): the
+# snapshots at 100,000 and 200,000 cosets that the `cover` benchmark reads
+PINNED_DEFAULT_LIMIT = {
+    4: (3, '705c925002d9f851f97312b5f669f28c950b218075e53d4c83de8098626d3d8a'),
+    6: (3, '74f2c6343acabd087113fad56abc6b0b9a94bc7e22960ecec1cb95c839841459'),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_DEFAULT_LIMIT))
+def test_pinned_default_limit_cover_bytes(tmp_path, n):
+    name = "cover-necklace%d-r3-default" % n
+    assert run_case(tmp_path, name, necklace(n), ["cover", "--r", "3"]) == PINNED_DEFAULT_LIMIT[n]

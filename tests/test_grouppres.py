@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import localdec.localcover as localcover
 from localdec.grouppres import (
     CosetTable,
     FiniteGroup,
@@ -294,6 +295,22 @@ def test_step_refuses_letters_outside_the_generators():
         t.trace(0, FreeWord((1, 2)))
 
 
+def test_step_refuses_cosets_outside_the_table():
+    # coset -1 used to read the last row, and coset n raised a bare IndexError
+    ready = CosetTable(("a",), [[1, 1], [0, 0]], True, 2, 2)
+    partial = todd_coxeter(Presentation(("a",), ()), 25)
+    for t in (ready, partial):
+        for coset in (-1, -5, t.n_cosets(), t.n_cosets() + 3):
+            with pytest.raises(PresentationError):
+                t.step(coset, 1)
+            with pytest.raises(PresentationError):
+                t.trace(coset, FreeWord((1,)))
+    # refused before any full read, too
+    for coset in (-1, 10**6):
+        with pytest.raises(PresentationError):
+            todd_coxeter(Presentation(("a",), ()), 25).step(coset, 1)
+
+
 def test_empty_presentation_table_gives_trivial_group():
     t = todd_coxeter(Presentation((), ()), 10)
     g = table_to_group(t)
@@ -555,3 +572,47 @@ def test_pinned_default_limit_tables():
     assert shapes["fibonacci-2-5"][1] == (11, True, 165)
     assert shapes["trivial-2"] == [(1, True, 12), (1, True, 12)]
     assert got == PINNED_DEFAULT_LIMIT_HASHES
+
+
+def test_rows_read_through_step_equal_the_full_table():
+    # reads in scrambled order standardize only up to the highest row read;
+    # reading the 2L snapshot to the end leaves the L snapshot intact
+    for name, p, limits in _default_limit_cases():
+        low, high = _coset_tables(p, limits)
+        letters = [s * (i + 1) for i in range(len(p.generators)) for s in (1, -1)]
+        read, refused = {}, []
+        for t in (high, low):
+            for coset in (6, 0, 3, 1, 5, 2, 4):
+                try:
+                    read[t, coset] = [t.step(coset, a) for a in letters]
+                except PresentationError:
+                    refused.append((t, coset))
+            if name.startswith("necklace"):
+                # rows 0-6 of thousands are standardized
+                assert len(t._rows) == 7 and t._raw is not None
+        assert len(high.table) == high.n_cosets()
+        assert _table_fields(low) == _table_fields(todd_coxeter(p, limits[0]))
+        for (t, coset), entries in read.items():
+            assert [None if b < 0 else b for b in t.table[coset]] == entries, name
+        assert all(coset >= t.n_cosets() for t, coset in refused), name
+
+
+def test_local_cover_standardizes_only_the_rows_its_balls_read(monkeypatch):
+    # the L and 2L snapshots of necklace(4) have 13,333 and 26,667 rows;
+    # the balls step from cosets 0-6 of each
+    taken = []
+
+    def coset_tables(p, limits):
+        taken.extend(_coset_tables(p, limits))
+        return taken
+
+    monkeypatch.setattr(localcover, "_coset_tables", coset_tables)
+    g = necklace(4)
+    tc = localcover.local_cover(g, 3)
+    assert tc.certified
+    read = [len(t._rows) for t in taken]
+    tc2 = localcover._build_ball(g, taken[1], tc._chord_letter, g.vertices[0], tc.radius, 3)
+    assert [len(t._rows) for t in taken] == read
+    assert read == [1 + max(c for _, c in ball._coord.values()) for ball in (tc, tc2)]
+    assert read == [7, 7]
+    assert [t.n_cosets() for t in taken] == [13333, 26667]

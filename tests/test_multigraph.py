@@ -14,6 +14,7 @@ from localdec.multigraph import (
     Multigraph,
     UNDECIDED,
     Walk,
+    _backtrack,
     _refine,
     _refine_start,
     automorphism_group,
@@ -856,6 +857,34 @@ def test_automorphism_search_budgets_are_pinned():
                            (loopy[6], 35, 240), (loopy[26], 28, 48), (loopy[167], 28, 120)):
         assert automorphism_group(g, need - 1) is UNDECIDED
         assert automorphism_group(g, need)[1] == order
+
+
+def test_backtrack_on_discrete_colours_finds_the_forced_map():
+    # distinct colours leave one candidate map: found with one node per
+    # vertex when it is an isomorphism, refused otherwise, UNDECIDED below n
+    rng = random.Random(97)
+    outcomes = Counter()
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        g = random_multigraph(rng, n, rng.randrange(0, 9), rng.random() < 0.5)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = Multigraph(range(n), [(e, (perm[u], perm[v])) for e, (u, v) in g.ends.items()])
+        c1 = rng.sample(range(50), n)
+        order = list(g.vertices)
+        for c2 in ([c1[perm.index(x)] for x in range(n)], rng.sample(c1, n)):
+            forced = {u: c2.index(c1[u]) for u in order}
+            is_iso = (Counter(frozenset(forced[x] for x in g.ends[e]) for e in g.edges)
+                      == Counter(frozenset(g2.ends[f]) for f in g2.edges))
+            hit, nodes = _backtrack(g, g2, order, c1, c2, 10**9)
+            if is_iso:
+                assert hit == forced and list(hit) == order and nodes == n
+                if n:
+                    assert _backtrack(g, g2, order, c1, c2, n - 1)[0] is UNDECIDED
+            else:
+                assert hit is None and nodes < n
+            outcomes[is_iso] += 1
+    assert outcomes[True] >= 200 and outcomes[False] >= 100
 
 
 def test_relabel_vertices_and_edges():
